@@ -22,10 +22,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -33,6 +35,67 @@ import (
 	"repro/internal/netserver"
 	"repro/internal/simtime"
 )
+
+// Server timeouts. A client that trickles its headers or body, or parks
+// an idle keep-alive connection, is disconnected instead of holding a
+// goroutine and a file descriptor for as long as it likes. ReadTimeout
+// covers the whole request including the body, which maxBodyBytes in
+// internal/lns caps at 64 MB.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the daemon's HTTP server with the timeouts above.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// writeFileAtomic replaces path with what write produces, or leaves it
+// untouched: the bytes go to a temporary file in the same directory,
+// which is fsynced and then renamed over path, and the directory is
+// fsynced so the rename itself survives a crash.
+func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if err = write(f); err != nil {
+		return err
+	}
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(f.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
 
 func main() {
 	if err := run(); err != nil {
@@ -81,7 +144,7 @@ func run() error {
 		log.Printf("lnsd: restored %d nodes from %s", len(snap.Nodes), *restore)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: d.Handler()}
+	srv := newServer(*addr, d.Handler())
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("lnsd: listening on %s (%d shard(s))", *addr, *shards)
@@ -111,11 +174,10 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("snapshot-exit: %w", err)
 		}
-		data, err := json.Marshal(snap)
+		err = writeFileAtomic(*snapExit, func(w io.Writer) error {
+			return json.NewEncoder(w).Encode(snap)
+		})
 		if err != nil {
-			return fmt.Errorf("snapshot-exit: %w", err)
-		}
-		if err := os.WriteFile(*snapExit, append(data, '\n'), 0o644); err != nil {
 			return fmt.Errorf("snapshot-exit: %w", err)
 		}
 		log.Printf("lnsd: wrote snapshot to %s", *snapExit)

@@ -77,14 +77,6 @@ type RetxHistory struct {
 	// queries every window per packet while only the chosen window's
 	// history changes.
 	attempts []float64
-	// rev is the attempt-vector revision: it never stays put across a
-	// change to any window's expected-attempt value, so decisions derived
-	// from AttemptsVec may be memoized against it. An Observe with zero
-	// retransmissions on a window whose weighted sum is zero leaves every
-	// ratio at exactly 1 + 0/S_t = 1 and does NOT bump — that is the
-	// steady night-time shape, and bumping there would evict the MAC
-	// decision table on every delivered packet.
-	rev uint64
 }
 
 // NewRetxHistory returns a history for window indexes [0, windows) and
@@ -119,11 +111,6 @@ func (h *RetxHistory) Reset() {
 	clear(h.selected)
 	clear(h.weighted)
 	clear(h.attempts)
-	// Conservative: the attempt values revert to the prior (1 for every
-	// window), which differs from the pre-reset values whenever any
-	// retransmission was ever recorded. A spurious bump only costs a
-	// rebuild, never a stale hit.
-	h.rev++
 }
 
 // Observe records that a packet sent in the given window needed the
@@ -134,20 +121,9 @@ func (h *RetxHistory) Observe(window, retx int) {
 	retx = mathx.ClampInt(retx, 0, h.maxRetx)
 	h.counts[window*(h.maxRetx+1)+retx]++
 	h.selected[window]++
-	if retx != 0 || h.weighted[window] != 0 {
-		// The window's mean retransmission count moved (or its
-		// denominator did under a non-zero numerator): expected attempts
-		// may change. With a zero numerator staying zero, the value is
-		// pinned at exactly 1 regardless of the denominator, so the
-		// revision — and any decision memoized on it — stands.
-		h.rev++
-	}
 	h.weighted[window] += uint64(retx)
 	h.attempts[window] = 0
 }
-
-// Rev returns the attempt-vector revision (see the rev field).
-func (h *RetxHistory) Rev() uint64 { return h.rev }
 
 // Prob returns P(retx <= r | window) per Eq. (14): the cumulative
 // probability of needing at most r retransmissions in the window. With

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/utility"
 )
@@ -136,91 +135,6 @@ func (s *Selector) SelectEst(stored, wu float64, forecast []float64, baseTx floa
 		return Decision{}, fmt.Errorf("core: normalized degradation %v outside [0,1]", wu)
 	}
 	return s.run(stored, wu, forecast, nil, baseTx, attempts, maxTx), nil
-}
-
-// SelectZeroEst runs Algorithm 1 for an all-zero forecast — the night
-// shape, where every window's generation term vanishes — and
-// additionally returns the stored-energy interval [lo, hi) over which
-// the decision is invariant, so callers can cache the verdict and
-// re-use it for later packets without re-running the pass.
-//
-// Equivalence with SelectEst(stored, wu, zeros, baseTx, attempts,
-// maxTx), term for term: with gen == ±0 the cumulative-energy
-// accumulator never moves (cum += max(0, ±0) adds +0 to a non-negative
-// value, which is bit-exact identity), so feasibility of window t is
-// exactly stored−e_t >= 0; DIF(e, ±0, maxTx) reduces to the same
-// clamped e/maxTx for either zero sign; and gamma keeps its full
-// expression. The loop below computes those reduced forms with the
-// identical operations on the identical values, so the Decision matches
-// SelectEst's bit for bit.
-//
-// The interval: the winner is the first feasible window minimizing
-// (gamma, index), and raising stored only ever adds feasible windows.
-// The verdict therefore stays put while stored >= e_winner (the winner
-// stays feasible; lo) and stored < min e_w over every strictly better
-// window — g_w < g_winner, or g_w == g_winner with w earlier — since
-// any such window is infeasible at build (it would have won) and
-// dethrones the winner the moment it can pay (hi). A FAIL verdict holds
-// while stored < min e_w over all windows. hi is +Inf when no window
-// can dethrone.
-func (s *Selector) SelectZeroEst(stored, wu float64, n int, baseTx float64, attempts []float64, maxTx float64) (Decision, float64, float64, error) {
-	switch {
-	case n <= 0:
-		return Decision{}, 0, 0, fmt.Errorf("core: no forecast windows")
-	case attempts != nil && len(attempts) < n:
-		return Decision{}, 0, 0, fmt.Errorf("core: %d attempt factors for %d windows", len(attempts), n)
-	case maxTx <= 0:
-		return Decision{}, 0, 0, fmt.Errorf("core: non-positive max transmission energy %v", maxTx)
-	case stored < 0:
-		return Decision{}, 0, 0, fmt.Errorf("core: negative stored energy %v", stored)
-	case wu < 0 || wu > 1:
-		return Decision{}, 0, 0, fmt.Errorf("core: normalized degradation %v outside [0,1]", wu)
-	}
-	s.sizeMu(n)
-	best := -1
-	var bestG, bestD float64
-	for t := 0; t < n; t++ {
-		e := baseTx
-		if attempts != nil {
-			e = baseTx * attempts[t]
-		}
-		d := DIF(e, 0, maxTx)
-		g := (1 - s.mu[t]) + wu*d*s.weightB
-		if stored-e >= 0 && (best < 0 || g < bestG) {
-			best, bestG, bestD = t, g, d
-		}
-	}
-	hi := math.Inf(1)
-	lo := 0.0
-	for t := 0; t < n; t++ {
-		e := baseTx
-		if attempts != nil {
-			e = baseTx * attempts[t]
-		}
-		if best < 0 {
-			// FAIL: any window becoming feasible changes the verdict.
-			hi = min(hi, e)
-			continue
-		}
-		if t == best {
-			lo = e
-			continue
-		}
-		g := (1 - s.mu[t]) + wu*DIF(e, 0, maxTx)*s.weightB
-		if g < bestG || (g == bestG && t < best) {
-			hi = min(hi, e)
-		}
-	}
-	if best < 0 {
-		return Decision{}, lo, hi, nil
-	}
-	return Decision{
-		OK:        true,
-		Window:    best,
-		Objective: bestG,
-		DIF:       bestD,
-		Utility:   s.mu[best],
-	}, lo, hi, nil
 }
 
 // run is the shared Algorithm 1 pass. Exactly one of estTx (materialized

@@ -44,8 +44,8 @@ func TestShardOf(t *testing.T) {
 func TestSplitFracExactCover(t *testing.T) {
 	fracs := []float64{0, 1, 0.5, 1.0 / 3, 2.0 / 3, 0.1, 0.9,
 		0.49999999999999994, 0.5000000000000001, // straddle a representable boundary
-		math.Nextafter(1, 0),                    // largest float < 1
-		5e-324,                                  // smallest positive denormal
+		math.Nextafter(1, 0), // largest float < 1
+		5e-324,               // smallest positive denormal
 	}
 	rng := rand.New(rand.NewPCG(7, 7))
 	for i := 0; i < 50; i++ {

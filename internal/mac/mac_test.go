@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/energy"
+	"repro/internal/obs"
 	"repro/internal/simtime"
 	"repro/internal/utility"
 )
@@ -272,6 +273,66 @@ func TestBLADegradationUpdateClamped(t *testing.T) {
 	p.OnDegradationUpdate(0, -3)
 	if got := p.NormalizedDegradation(); got != 0 {
 		t.Errorf("w_u = %v, want clamped to 0", got)
+	}
+}
+
+// TestBLAStaleWuAccounting steps a BLA with a w_u TTL through stale
+// before any beacon → fresh after one → stale after the TTL → fresh
+// after a new beacon → stale after a brownout. The received w_u is 0
+// and the stale fallback 1, so the chosen window shows which weight
+// each decision used: 0 transmits at once, 1 defers past
+// rampForecaster's dark window 0. Every stale decision must count once
+// in StaleDecisions and once in the obs timeline.
+func TestBLAStaleWuAccounting(t *testing.T) {
+	const ttl = 6 * simtime.Hour
+	cfg := validBLAConfig()
+	cfg.Forecaster = rampForecaster{}
+	cfg.WuTTL = ttl
+	cfg.WuStaleFallback = 1
+	cfg.Obs = obs.New(obs.Manifest{}, 0).Node(0)
+	p, err := NewBLA(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beacon := simtime.Time(simtime.Hour)
+	later := beacon.Add(2 * ttl)
+
+	steps := []struct {
+		name      string
+		at        simtime.Time
+		before    func()
+		wantStale int64
+	}{
+		{"stale before any beacon", beacon.Add(-simtime.Minute), nil, 1},
+		{"fresh after beacon", beacon.Add(simtime.Minute), func() { p.OnDegradationUpdate(beacon, 0) }, 1},
+		{"fresh at the TTL edge", beacon.Add(ttl), nil, 1},
+		{"stale past the TTL", beacon.Add(ttl + simtime.Second), nil, 2},
+		{"fresh after a new beacon", later, func() { p.OnDegradationUpdate(later, 0) }, 2},
+		{"stale after reset", later.Add(simtime.Minute), p.Reset, 3},
+		{"still stale", later.Add(2 * simtime.Minute), nil, 4},
+	}
+	prev := int64(0)
+	for _, st := range steps {
+		if st.before != nil {
+			st.before()
+		}
+		d := p.DecideTx(st.at, 10, 1.0)
+		if d.Drop {
+			t.Fatalf("%s: dropped", st.name)
+		}
+		usedFallback := st.wantStale > prev
+		if deferred := d.Window != 0; deferred != usedFallback {
+			t.Errorf("%s: window %d, want fallback w_u used = %v", st.name, d.Window, usedFallback)
+		}
+		if got := p.StaleDecisions(); got != st.wantStale {
+			t.Errorf("%s: StaleDecisions = %d, want %d", st.name, got, st.wantStale)
+		}
+		cfg.Obs.Record(st.at, 0, 0, 0, 0, 0)
+		samples := cfg.Obs.Samples()
+		if got := samples[len(samples)-1].StaleWu; got != st.wantStale {
+			t.Errorf("%s: obs stale_wu = %d, want %d", st.name, got, st.wantStale)
+		}
+		prev = st.wantStale
 	}
 }
 

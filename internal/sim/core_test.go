@@ -12,10 +12,10 @@ import (
 )
 
 // soaOracleScenario builds one randomized-by-seed scenario with faults
-// and enough variety (theta, initial SoC, node count) to drive every
-// kernel branch: deep-discharge nights, full-accept charging runs,
-// at-capacity spans, partial-minute steps at event times, and brownout
-// interference with the armed spans.
+// and enough variety (theta, initial SoC, node count, w_u TTL) to drive
+// every kernel branch: deep-discharge nights, full-accept charging runs,
+// at-capacity spans, partial-minute steps at event times, brownout
+// interference with the armed spans, and BLA decisions on stale w_u.
 func soaOracleScenario(seed uint64) config.Scenario {
 	cfg := config.Default().WithSeed(seed)
 	cfg.Nodes = 12 + int(seed%3)*6
@@ -38,6 +38,9 @@ func soaOracleScenario(seed uint64) config.Scenario {
 		OutageLen:    2 * simtime.Hour,
 		OutageEvery:  simtime.Day,
 		BrownoutMTBF: 4 * simtime.Day,
+		// Indexed by seed/3 so every TTL meets every InitialSoC above.
+		WuTTL:           []simtime.Duration{0, 6 * simtime.Hour, simtime.Day}[seed/3%3],
+		WuStaleFallback: 1,
 	}
 	return cfg
 }

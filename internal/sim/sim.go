@@ -310,20 +310,19 @@ func (s *Simulation) buildNode(id int, trace *energy.YearTrace, ewma *energy.Diu
 		}
 	default:
 		if proto, err = mac.NewBLA(mac.BLAConfig{
-			Theta:                cfg.Theta,
-			WeightB:              cfg.WeightB,
-			Beta:                 cfg.Beta,
-			Utility:              cfg.Utility,
-			Forecaster:           fc,
-			Window:               cfg.ForecastWindow,
-			MaxWindows:           int(cfg.PeriodMax / cfg.ForecastWindow),
-			SingleTxEnergyJ:      txE,
-			MaxAttempts:          cfg.MaxAttempts,
-			DisableRetxHistory:   cfg.DisableRetxHistory,
-			DisableDecisionTable: cfg.DisableDecisionTable,
-			WuTTL:                cfg.Faults.WuTTL,
-			WuStaleFallback:      cfg.Faults.WuStaleFallback,
-			Obs:                  s.obs.Node(id),
+			Theta:              cfg.Theta,
+			WeightB:            cfg.WeightB,
+			Beta:               cfg.Beta,
+			Utility:            cfg.Utility,
+			Forecaster:         fc,
+			Window:             cfg.ForecastWindow,
+			MaxWindows:         int(cfg.PeriodMax / cfg.ForecastWindow),
+			SingleTxEnergyJ:    txE,
+			MaxAttempts:        cfg.MaxAttempts,
+			DisableRetxHistory: cfg.DisableRetxHistory,
+			WuTTL:              cfg.Faults.WuTTL,
+			WuStaleFallback:    cfg.Faults.WuStaleFallback,
+			Obs:                s.obs.Node(id),
 		}); err != nil {
 			return nil, err
 		}

@@ -257,20 +257,19 @@ func buildNode(cfg config.Scenario, id int, trace *energy.YearTrace, tl *obs.Nod
 		}
 	default:
 		if proto, err = mac.NewBLA(mac.BLAConfig{
-			Theta:                cfg.Theta,
-			WeightB:              cfg.WeightB,
-			Beta:                 cfg.Beta,
-			Utility:              cfg.Utility,
-			Forecaster:           fc,
-			Window:               cfg.ForecastWindow,
-			MaxWindows:           int(cfg.PeriodMax / cfg.ForecastWindow),
-			SingleTxEnergyJ:      txE,
-			MaxAttempts:          cfg.MaxAttempts,
-			DisableRetxHistory:   cfg.DisableRetxHistory,
-			DisableDecisionTable: cfg.DisableDecisionTable,
-			WuTTL:                cfg.Faults.WuTTL,
-			WuStaleFallback:      cfg.Faults.WuStaleFallback,
-			Obs:                  tl,
+			Theta:              cfg.Theta,
+			WeightB:            cfg.WeightB,
+			Beta:               cfg.Beta,
+			Utility:            cfg.Utility,
+			Forecaster:         fc,
+			Window:             cfg.ForecastWindow,
+			MaxWindows:         int(cfg.PeriodMax / cfg.ForecastWindow),
+			SingleTxEnergyJ:    txE,
+			MaxAttempts:        cfg.MaxAttempts,
+			DisableRetxHistory: cfg.DisableRetxHistory,
+			WuTTL:              cfg.Faults.WuTTL,
+			WuStaleFallback:    cfg.Faults.WuStaleFallback,
+			Obs:                tl,
 		}); err != nil {
 			return nil, err
 		}
