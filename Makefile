@@ -65,10 +65,8 @@ profile: build
 # 4 concurrent loadgen connections — and diff the disseminated w_u
 # tables AND the snapshots: all must be byte-identical. A further pass
 # replays half the stream, snapshots, restarts lnsd from the snapshot,
-# resumes, and diffs the wu table again: snapshot/restore must be
-# invisible in the output. (The resume leg diffs wu only — its snapshot
-# legitimately records a different first-recompute slot because its
-# barrier history differs from an uninterrupted run.)
+# resumes, and diffs the wu table and the snapshot again:
+# snapshot/restore must be invisible in the output.
 LNSTMP := $(shell mktemp -d /tmp/lns-smoke.XXXXXX)
 LNSADDR ?= 127.0.0.1:18080
 
@@ -97,11 +95,12 @@ lns-smoke: build
 		kill `cat $(LNSTMP)/pid`
 	$(LNSTMP)/lnsd -addr $(LNSADDR) -restore $(LNSTMP)/snap.json & echo $$! > $(LNSTMP)/pid; \
 		$(LNSTMP)/loadgen -in $(LNSTMP)/obs/faults_s00_r00.jsonl -addr http://$(LNSADDR) \
-			-start-frac 0.5 -wu-out $(LNSTMP)/wu-resume.json; \
+			-start-frac 0.5 -wu-out $(LNSTMP)/wu-resume.json -snapshot-out $(LNSTMP)/snap-resume.json; \
 		kill `cat $(LNSTMP)/pid`
 	diff $(LNSTMP)/wu-lib.json $(LNSTMP)/wu-resume.json
+	diff $(LNSTMP)/snap-lib.json $(LNSTMP)/snap-resume.json
 	rm -rf $(LNSTMP)
-	@echo "lns-smoke: sharded and single-lane daemon replay byte-identical to library path (wu + snapshot); snapshot/restore resume byte-identical (wu)"
+	@echo "lns-smoke: sharded and single-lane daemon replay byte-identical to library path (wu + snapshot); snapshot/restore resume byte-identical (wu + snapshot)"
 
 clean:
 	rm -f BENCH_*.json

@@ -146,7 +146,8 @@ type Scenario struct {
 	PathLoss radio.PathLoss
 
 	// DegradationInterval is how often the gateway recomputes and
-	// disseminates w_u (paper: daily).
+	// disseminates w_u (paper: daily); the simulator's recompute tick,
+	// which also runs the RunToEoL check, fires at this cadence.
 	DegradationInterval simtime.Duration
 
 	// Faults configures control-plane fault injection (downlink/uplink

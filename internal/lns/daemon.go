@@ -228,9 +228,10 @@ func (d *Daemon) do(fn func()) {
 // barrier quiesces every shard behind its ingest lane and runs one
 // deterministic fleet-wide recompute in three phases:
 //
-//  1. each shard (optionally) folds `advance` into its clock and
-//     reports it; the coordinator merges the clocks (max — exactly how
-//     AdvanceClock itself folds instants) and derives the grid slot;
+//  1. each shard folds `advance` into its clock (NoAdvance folds
+//     nothing) and reports it; the coordinator merges the clocks
+//     (max — exactly how AdvanceClock itself folds instants) and
+//     derives the grid slot;
 //  2. each shard evaluates its nodes' degradation at that one slot and
 //     reports its local maximum; the coordinator merges them into the
 //     fleet D_max;
@@ -264,9 +265,7 @@ func (d *Daemon) barrier(advance simtime.Time, collect func(s *netserver.Server)
 		i := i
 		dones[i] = make(chan struct{})
 		sh.q <- job{done: dones[i], ctl: func(s *netserver.Server) {
-			if advance >= 0 {
-				s.AdvanceClock(advance)
-			}
+			s.AdvanceClock(advance)
 			clocks[i] = s.Clock()
 			wgClock.Done()
 			<-slotReady
@@ -397,8 +396,9 @@ func (d *Daemon) WuTable() []netserver.NodeWu {
 
 // SnapshotState captures the full fleet state, consistent with every
 // batch accepted before the call. Like WuTable it barriers first, so
-// the merged snapshot's grid bookkeeping is uniform across shards and
-// its bytes match the 1-shard (and library-path) snapshot exactly.
+// every shard's degradation and w_u are evaluated at the same grid slot
+// and fleet D_max, and the merged bytes match the 1-shard (and
+// library-path) snapshot exactly.
 func (d *Daemon) SnapshotState() (*netserver.Snapshot, error) {
 	results, ran, wall := d.barrier(NoAdvance, func(s *netserver.Server) any { return s.Snapshot() })
 	if ran {

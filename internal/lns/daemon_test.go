@@ -413,7 +413,7 @@ func TestShardedSnapshotRestoreAcrossShardCounts(t *testing.T) {
 	for _, b := range batches[cut:] {
 		ReplayBatch(libMid, b)
 	}
-	RecomputeBarrier(libMid, finalAt)
+	libMid.Recompute(finalAt)
 	wantWu := wuBytes(t, libMid.WuTable())
 	wantSnap := snapBytesLib(t, libMid)
 

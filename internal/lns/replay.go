@@ -185,7 +185,7 @@ func RegisterTrace(s *netserver.Server, tr *Trace) {
 // interleaving of different nodes' traffic. A mid-stream recompute
 // keyed to "which uplink crossed the day boundary" would not be: it
 // bakes the arrival order of the whole stream into the disseminated
-// w_u. Recomputes instead run only at barriers (RecomputeBarrier /
+// w_u. Recomputes instead run only at barriers (Server.Recompute /
 // the daemon's control ops), where every shard agrees on the grid
 // slot derived from the merged clock.
 func ReplayBatch(s *netserver.Server, b Batch) {
@@ -201,25 +201,9 @@ func ReplayBatch(s *netserver.Server, b Batch) {
 	}
 }
 
-// NoAdvance is the RecomputeBarrier sentinel for "fold no extra
-// instant into the clock" — barrier at whatever the traffic reached.
+// NoAdvance is the Server.Recompute argument that folds no extra
+// instant into the clock — barrier at whatever the traffic reached.
 const NoAdvance = simtime.Time(-1)
-
-// RecomputeBarrier runs one deterministic recompute on a quiesced
-// server: optionally folds `advance` into the virtual clock
-// (NoAdvance skips), evaluates every node's degradation at the
-// resulting grid slot, and refreshes the disseminated w_u table
-// against the fleet maximum. It is the 1-server form of the daemon's
-// cross-shard barrier and reports whether the degradation pass ran
-// (false when nothing changed since a barrier at the same slot).
-func RecomputeBarrier(s *netserver.Server, advance simtime.Time) bool {
-	if advance >= 0 {
-		s.AdvanceClock(advance)
-	}
-	dmax, ran := s.RecomputeDegrAt(s.GridInstant())
-	s.ApplyWu(dmax)
-	return ran
-}
 
 // LastUplinkAt returns the latest uplink reception instant across the
 // batches (0 when empty). Replays barrier once more at this instant
@@ -262,10 +246,9 @@ func ReplayLocalRange(cfg Config, tr *Trace, batches []Batch, final bool, finalA
 	for _, b := range batches {
 		ReplayBatch(s, b)
 	}
-	advance := NoAdvance
-	if final {
-		advance = finalAt
+	if !final {
+		finalAt = NoAdvance
 	}
-	RecomputeBarrier(s, advance)
+	s.Recompute(finalAt)
 	return s, nil
 }

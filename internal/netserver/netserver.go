@@ -3,8 +3,8 @@
 // trace from the 4-byte transition reports piggy-backed on uplink
 // packets, recomputes battery degradation with the incremental rainflow
 // tracker, and derives the normalized degradation w_u = D_u / D_max that
-// is disseminated back to nodes on ACKs (at most once per day, quantized
-// to one byte).
+// is disseminated back to nodes on ACKs (refreshed once per recompute
+// interval — daily in the paper — and quantized to one byte).
 //
 // Ingestion is idempotent and order-tolerant: retransmitted packets
 // (a retry after a lost ACK, or backhaul duplication) and reordered
@@ -26,9 +26,10 @@ import (
 // simulation time starts at 0, so any real instant exceeds it.
 const noneYet = simtime.Time(-1)
 
-// Server is the network-server state. It is not safe for general
-// concurrent use — the testbed runtime guards it with its gateway
-// goroutine, and the LNS daemon gives each shard a private Server —
+// Server is the network-server state; Recompute is its one recompute
+// path. It is not safe for general concurrent use — the testbed
+// gateway guards it with its mutex, and the LNS daemon gives each
+// shard a private Server —
 // with one carve-out the sharded simulator relies on: Ingest/Rejoin
 // calls for *distinct* nodes may run concurrently. Per-node state is
 // only ever touched by the lane owning that node, the tally counters
@@ -47,23 +48,16 @@ type Server struct {
 	nodes    []*nodeState
 	numNodes int
 
-	// Recomputes align to a fixed grid anchored at the first compute,
-	// so a late call (e.g. after a gateway outage) does not permanently
-	// shift every subsequent daily recompute.
-	firstCompute simtime.Time
-	nextDue      simtime.Time
-	computed     bool
-
-	// The barrier-recompute discipline (the LNS daemon path) keeps a
-	// virtual clock — the newest uplink reception instant folded in via
-	// AdvanceClock — and recomputes only at grid instants derived from
-	// it, never mid-stream. clock is a running maximum over the instants
-	// seen, so it is independent of ingest order; degrAt is the grid
-	// instant of the latest RecomputeDegrAt (noneYet before the first);
-	// dirty marks tracker/fleet mutations since then, letting a repeated
-	// barrier at the same instant skip the O(nodes) degradation pass.
-	// Atomic: parallel engine lanes ingest disjoint nodes concurrently
-	// and all set it (see the type comment).
+	// Recomputes run at barriers on a virtual clock — the newest instant
+	// folded in via AdvanceClock — and evaluate only at grid instants
+	// derived from it, never mid-stream. clock is a running maximum
+	// over the instants seen, so it is independent of ingest order;
+	// degrAt is the grid instant of the latest RecomputeDegrAt (noneYet
+	// before the first, and after a Restore); dirty marks tracker/fleet
+	// mutations since then, letting a repeated barrier at the same
+	// instant skip the O(nodes) degradation pass. Atomic: parallel
+	// engine lanes ingest disjoint nodes concurrently and all set it
+	// (see the type comment).
 	clock  simtime.Time
 	degrAt simtime.Time
 	dirty  atomic.Bool
@@ -227,50 +221,6 @@ func (s *Server) Ingest(nodeID int, reports []battery.Report, packetAt simtime.T
 	st.lastReportAt = newest
 }
 
-// RecomputeIfDue recomputes every node's degradation and the network's
-// normalized weights if the dissemination interval elapsed; it reports
-// whether a recomputation ran. The first call always computes and
-// anchors the recompute grid; later calls fire only when the current
-// grid slot is due, and the next deadline stays on the grid even when a
-// call arrives late (e.g. delayed by a gateway outage).
-func (s *Server) RecomputeIfDue(now simtime.Time) bool {
-	if s.computed && now < s.nextDue {
-		return false
-	}
-	s.recompute(now)
-	return true
-}
-
-func (s *Server) recompute(now simtime.Time) {
-	if !s.computed {
-		s.firstCompute = now
-		s.computed = true
-	}
-	elapsed := now.Sub(s.firstCompute)
-	slots := int64(elapsed/s.interval) + 1
-	s.nextDue = s.firstCompute.Add(simtime.Duration(slots) * s.interval)
-	var dmax float64
-	for _, st := range s.nodes {
-		if st == nil {
-			continue
-		}
-		st.degr = st.tracker.Degradation(simtime.Duration(now))
-		dmax = math.Max(dmax, st.degr)
-	}
-	for _, st := range s.nodes {
-		if st == nil {
-			continue
-		}
-		wu := 0.0
-		if dmax > 0 {
-			wu = st.degr / dmax
-		}
-		st.wu = QuantizeWu(wu)
-	}
-	s.cRecomputes.Inc()
-	s.gDmax.Set(dmax)
-}
-
 // AdvanceClock folds an observed instant into the virtual clock as a
 // running maximum. Because max is commutative and associative, the
 // resulting clock depends only on the SET of instants seen — not their
@@ -309,16 +259,9 @@ func (s *Server) GridInstant() simtime.Time { return GridInstant(s.clock, s.inte
 // the fleet-wide D_max and feeds it back through ApplyWu. The O(nodes)
 // degradation pass is skipped when nothing changed since a recompute at
 // the same instant (the evaluation is a pure function of tracker state
-// and instant, so skipping cannot change any observable). Either way
-// the recompute grid bookkeeping (computed, firstCompute, nextDue) is
-// left exactly as a recompute at `now` establishes it.
+// and instant, so skipping cannot change any observable).
 func (s *Server) RecomputeDegrAt(now simtime.Time) (dmax float64, ran bool) {
-	if s.dirty.Load() || !s.computed || s.degrAt != now {
-		if !s.computed {
-			s.firstCompute = now
-			s.computed = true
-		}
-		s.nextDue = now.Add(s.interval)
+	if s.dirty.Load() || s.degrAt != now {
 		for _, st := range s.nodes {
 			if st == nil {
 				continue
@@ -355,6 +298,19 @@ func (s *Server) ApplyWu(dmax float64) {
 		st.wu = QuantizeWu(wu)
 	}
 	s.gDmax.Set(dmax)
+}
+
+// Recompute runs one barrier recompute: it folds `at` into the virtual
+// clock (-1 folds nothing), evaluates every node's degradation at the
+// resulting grid slot, and refreshes the w_u table against the maximum.
+// The sharded LNS daemon composes the same three steps across shards.
+// It reports whether the degradation pass ran (false when nothing
+// changed since a recompute at the same slot).
+func (s *Server) Recompute(at simtime.Time) bool {
+	s.AdvanceClock(at)
+	dmax, ran := s.RecomputeDegrAt(s.GridInstant())
+	s.ApplyWu(dmax)
+	return ran
 }
 
 // QuantizeWu quantizes a normalized degradation in [0,1] to the 1-byte

@@ -56,53 +56,75 @@ func TestUnknownNodeQueries(t *testing.T) {
 	}
 }
 
-func TestRecomputeIfDueCadence(t *testing.T) {
+// recomputeStep is one Server.Recompute call: optionally ingest a fresh
+// report first, then call at `at` and expect `wantRan` and the grid slot
+// `slot` the degradation was evaluated at.
+type recomputeStep struct {
+	at      simtime.Time
+	ingest  bool
+	wantRan bool
+	slot    simtime.Time
+}
+
+func hours(n int) simtime.Time { return simtime.Time(n) * simtime.Time(simtime.Hour) }
+
+// runRecomputeSteps drives a one-node server through steps and checks
+// each call's result, grid slot and degradation against a reference
+// tracker evaluated at the expected slot.
+func runRecomputeSteps(t *testing.T, steps []recomputeStep) {
+	t.Helper()
+	window := simtime.Minute
 	s := newTestServer(t)
 	s.Register(1, 0.9)
-
-	if !s.RecomputeIfDue(0) {
-		t.Error("first call must compute")
-	}
-	if s.RecomputeIfDue(simtime.Time(simtime.Hour)) {
-		t.Error("1 hour later: not due yet")
-	}
-	if !s.RecomputeIfDue(simtime.Time(25 * simtime.Hour)) {
-		t.Error("25 hours later: due")
+	// ref mirrors node 1's reconstructed trace, so the expected
+	// degradation at a slot is computed without going through Server.
+	ref := battery.NewTracker(battery.DefaultModel(), 25)
+	ref.Push(0.9)
+	for i, st := range steps {
+		if st.ingest {
+			r := battery.EncodeTransition(battery.Transition{At: st.at - hours(1), SoC: 0.3}, st.at, window)
+			s.Ingest(1, []battery.Report{r}, st.at, window)
+			ref.Push(r.Decode(st.at, window).SoC)
+		}
+		if ran := s.Recompute(st.at); ran != st.wantRan {
+			t.Errorf("step %d: Recompute(%v) ran = %v, want %v", i, st.at, ran, st.wantRan)
+		}
+		if got := s.GridInstant(); got != st.slot {
+			t.Errorf("step %d: grid slot %v, want %v", i, got, st.slot)
+		}
+		if got, want := s.Degradation(1), ref.Degradation(simtime.Duration(st.slot)); got != want {
+			t.Errorf("step %d: degradation %v, want %v (evaluated at slot %v)", i, got, want, st.slot)
+		}
 	}
 }
 
-// TestRecomputeGridAlignment: a late recompute (e.g. delayed by a
-// gateway outage) must not shift the schedule — the next deadline stays
-// on the interval grid anchored at the first compute.
-func TestRecomputeGridAlignment(t *testing.T) {
-	s := newTestServer(t)
-	s.Register(1, 0.9)
+// TestRecomputeIfDueCadence: Recompute evaluates on the first call and
+// in each new grid slot, and skips the degradation pass only on a repeat
+// in the same slot with nothing ingested since.
+func TestRecomputeIfDueCadence(t *testing.T) {
+	runRecomputeSteps(t, []recomputeStep{
+		{hours(0), false, true, hours(0)},   // first call always evaluates
+		{hours(1), false, false, hours(0)},  // same slot, nothing new
+		{hours(1), true, true, hours(0)},    // an ingest dirties the slot
+		{hours(23), false, false, hours(0)}, // same slot, nothing new
+		{hours(25), false, true, hours(24)}, // next slot
+	})
+}
 
-	at := func(h int) simtime.Time { return simtime.Time(h) * simtime.Time(simtime.Hour) }
-	if !s.RecomputeIfDue(at(0)) {
-		t.Fatal("first call must compute")
-	}
-	// Slot [24h,48h) arrives 2 hours late.
-	if !s.RecomputeIfDue(at(26)) {
-		t.Fatal("26h: overdue slot must compute")
-	}
-	// The next deadline is the 48h grid slot, not 26h+24h = 50h.
-	if s.RecomputeIfDue(at(47)) {
-		t.Error("47h: inside the current grid slot, must not compute")
-	}
-	if !s.RecomputeIfDue(at(49)) {
-		t.Error("49h: the 48h grid slot is due even though the previous compute ran at 26h")
-	}
-	// A very late call (multiple slots missed) lands back on the grid.
-	if !s.RecomputeIfDue(at(200)) {
-		t.Fatal("200h: overdue")
-	}
-	if s.RecomputeIfDue(at(215)) {
-		t.Error("215h: grid slot [192h,216h) already computed at 200h")
-	}
-	if !s.RecomputeIfDue(at(216)) {
-		t.Error("216h: next grid slot due")
-	}
+// TestRecomputeGridAlignment: a late Recompute (e.g. after a gateway
+// outage) evaluates at the grid slot holding its instant, not at the
+// call time, so the schedule never shifts off the interval grid.
+func TestRecomputeGridAlignment(t *testing.T) {
+	runRecomputeSteps(t, []recomputeStep{
+		{hours(0), false, true, hours(0)},
+		{hours(26), false, true, hours(24)},   // late call evaluates the 24h slot
+		{hours(47), false, false, hours(24)},  // same slot, nothing new
+		{hours(47), true, true, hours(24)},    // an ingest dirties the slot
+		{hours(49), false, true, hours(48)},   // next slot, not 26h+24h
+		{hours(200), false, true, hours(192)}, // several slots missed
+		{hours(215), false, false, hours(192)},
+		{hours(216), false, true, hours(216)},
+	})
 }
 
 // TestMaxDegradationTieBreak: equal degradations must report the lowest
@@ -114,7 +136,7 @@ func TestMaxDegradationTieBreak(t *testing.T) {
 		s.Register(7, 0.8)
 		s.Register(3, 0.8)
 		s.Register(9, 0.8)
-		s.RecomputeIfDue(simtime.Time(simtime.Year))
+		s.Recompute(simtime.Time(simtime.Year))
 		if s.Degradation(7) != s.Degradation(3) || s.Degradation(3) != s.Degradation(9) {
 			t.Fatal("test premise broken: degradations differ")
 		}
@@ -153,8 +175,8 @@ func TestIngestIdempotent(t *testing.T) {
 	dup.Ingest(1, encode(t2), t2, window) // retry after lost ACK
 
 	now := simtime.Time(simtime.Day)
-	once.RecomputeIfDue(now)
-	dup.RecomputeIfDue(now)
+	once.Recompute(now)
+	dup.Recompute(now)
 	if got, want := dup.Degradation(1), once.Degradation(1); got != want {
 		t.Errorf("duplicated ingestion degradation %v, want %v (single ingestion)", got, want)
 	}
@@ -178,8 +200,8 @@ func TestIngestDropsReordered(t *testing.T) {
 	ref.Ingest(1, nil, t2, window)
 
 	now := simtime.Time(simtime.Day)
-	s.RecomputeIfDue(now)
-	ref.RecomputeIfDue(now)
+	s.Recompute(now)
+	ref.Recompute(now)
 	if got, want := s.Degradation(1), ref.Degradation(1); got != want {
 		t.Errorf("reordered packet was ingested: degradation %v, want %v", got, want)
 	}
@@ -208,8 +230,8 @@ func TestIngestRetryWithFreshReports(t *testing.T) {
 	ref.Ingest(1, []battery.Report{battery.EncodeTransition(trNew, t2, window)}, t2, window)
 
 	now := simtime.Time(simtime.Day)
-	s.RecomputeIfDue(now)
-	ref.RecomputeIfDue(now)
+	s.Recompute(now)
+	ref.Recompute(now)
 	if got, want := s.Degradation(1), ref.Degradation(1); got != want {
 		t.Errorf("re-piggybacked report was double-counted: degradation %v, want %v", got, want)
 	}
@@ -235,11 +257,11 @@ func TestRejoinPreservesHistory(t *testing.T) {
 
 	rejoined := build()
 	rejoined.Rejoin(1, 0.7)
-	rejoined.RecomputeIfDue(now)
+	rejoined.Recompute(now)
 
 	reset := build()
 	reset.Register(1, 0.7)
-	reset.RecomputeIfDue(now)
+	reset.Recompute(now)
 
 	if rejoined.Degradation(1) <= reset.Degradation(1) {
 		t.Errorf("rejoin lost cycle history: degradation %v not above reset %v",
@@ -296,7 +318,7 @@ func TestNormalizedDegradationOrdering(t *testing.T) {
 	s.Register(1, 1.0) // resting full: fastest calendar aging
 	s.Register(2, 0.3) // resting low
 	now := simtime.Time(simtime.Year)
-	s.RecomputeIfDue(now)
+	s.Recompute(now)
 
 	w1 := s.NormalizedDegradation(1)
 	w2 := s.NormalizedDegradation(2)
@@ -321,7 +343,7 @@ func TestQuantization(t *testing.T) {
 	s := newTestServer(t)
 	s.Register(1, 1.0)
 	s.Register(2, 0.62)
-	s.RecomputeIfDue(simtime.Time(simtime.Year))
+	s.Recompute(simtime.Time(simtime.Year))
 
 	w2 := s.NormalizedDegradation(2)
 	scaled := w2 * 255
@@ -350,7 +372,7 @@ func TestIngestDrivesCycleAging(t *testing.T) {
 		}, at.Add(simtime.Hour), window)
 	}
 	now := simtime.Time(100 * simtime.Day)
-	s.RecomputeIfDue(now)
+	s.Recompute(now)
 	if s.Degradation(1) <= s.Degradation(2) {
 		t.Errorf("cycling node degradation %v should exceed idle node %v",
 			s.Degradation(1), s.Degradation(2))

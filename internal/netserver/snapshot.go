@@ -9,8 +9,11 @@ import (
 
 // SnapshotSchema identifies the snapshot layout; bump it when fields
 // change meaning so a daemon refuses to restore a foreign format.
-// Schema 2 added ClockMs (the barrier-recompute virtual clock).
-const SnapshotSchema = 2
+// Schema 2 added ClockMs (the barrier-recompute virtual clock); schema
+// 3 dropped the three fields of the first-call recompute anchor. Restore
+// still accepts schema 2: encoding/json ignores the dropped fields, and
+// nothing else changed meaning.
+const SnapshotSchema = 3
 
 // NodeSnapshot is one node's serializable server-side state.
 type NodeSnapshot struct {
@@ -33,13 +36,10 @@ type NodeSnapshot struct {
 // and configuration so a restored daemon cannot silently recompute under
 // different constants than the state was accumulated with.
 type Snapshot struct {
-	Schema         int           `json:"schema"`
-	Model          battery.Model `json:"model"`
-	TempC          float64       `json:"temp_c"`
-	IntervalMs     int64         `json:"interval_ms"`
-	Computed       bool          `json:"computed"`
-	FirstComputeMs int64         `json:"first_compute_ms"`
-	NextDueMs      int64         `json:"next_due_ms"`
+	Schema     int           `json:"schema"`
+	Model      battery.Model `json:"model"`
+	TempC      float64       `json:"temp_c"`
+	IntervalMs int64         `json:"interval_ms"`
 	// ClockMs is the virtual clock of the barrier-recompute discipline
 	// (newest uplink instant folded in; -1 = no traffic yet).
 	ClockMs int64 `json:"clock_ms"`
@@ -52,15 +52,12 @@ type Snapshot struct {
 // state) deterministic.
 func (s *Server) Snapshot() *Snapshot {
 	snap := &Snapshot{
-		Schema:         SnapshotSchema,
-		Model:          s.model,
-		TempC:          s.tempC,
-		IntervalMs:     int64(s.interval),
-		Computed:       s.computed,
-		FirstComputeMs: int64(s.firstCompute),
-		NextDueMs:      int64(s.nextDue),
-		ClockMs:        int64(s.clock),
-		Nodes:          make([]NodeSnapshot, 0, s.numNodes),
+		Schema:     SnapshotSchema,
+		Model:      s.model,
+		TempC:      s.tempC,
+		IntervalMs: int64(s.interval),
+		ClockMs:    int64(s.clock),
+		Nodes:      make([]NodeSnapshot, 0, s.numNodes),
 	}
 	for id, st := range s.nodes {
 		if st == nil {
@@ -81,27 +78,20 @@ func (s *Server) Snapshot() *Snapshot {
 // Restore rebuilds a server from a snapshot. The result answers every
 // subsequent Ingest/Recompute sequence with the same bytes the
 // snapshotted server would have: tracker restoration is exact (see
-// battery.RestoreTracker) and the recompute grid anchor, dissemination
-// results, and ingestion watermarks are all carried over.
+// battery.RestoreTracker) and the virtual clock, dissemination results,
+// and ingestion watermarks are all carried over. The instant of the
+// latest degradation pass is not: the first barrier after a restore
+// always evaluates, which costs one O(nodes) pass and cannot publish
+// w_u staler than the restored trackers.
 func Restore(snap *Snapshot) (*Server, error) {
-	if snap.Schema != SnapshotSchema {
-		return nil, fmt.Errorf("netserver: snapshot schema %d, want %d", snap.Schema, SnapshotSchema)
+	if snap.Schema != 2 && snap.Schema != SnapshotSchema {
+		return nil, fmt.Errorf("netserver: snapshot schema %d, want 2 or %d", snap.Schema, SnapshotSchema)
 	}
 	s, err := New(snap.Model, snap.TempC, simtime.Duration(snap.IntervalMs))
 	if err != nil {
 		return nil, err
 	}
-	s.computed = snap.Computed
-	s.firstCompute = simtime.Time(snap.FirstComputeMs)
-	s.nextDue = simtime.Time(snap.NextDueMs)
 	s.clock = simtime.Time(snap.ClockMs)
-	// Under the barrier discipline every recompute sets
-	// nextDue = instant + interval, so the instant of the latest
-	// degradation evaluation is recoverable without its own field; the
-	// state was quiesced at snapshot time, so nothing is dirty.
-	if snap.Computed {
-		s.degrAt = s.nextDue - simtime.Time(s.interval)
-	}
 	prev := -1
 	for _, ns := range snap.Nodes {
 		if ns.ID <= prev {
@@ -127,8 +117,8 @@ func Restore(snap *Snapshot) (*Server, error) {
 // MergeSnapshots folds per-shard snapshots (disjoint node sets, each
 // ascending by ID) into the single snapshot a 1-shard server holding
 // the union would produce. The global fields must agree across shards —
-// after a barrier recompute they do by construction (same grid slot,
-// same interval, same model) — except the virtual clock, which merges
+// they do by construction (same schema, interval and model) — except
+// the virtual clock, which merges
 // as the maximum, mirroring how AdvanceClock folds instants. Shards
 // that disagree on a global field indicate a coordination bug and are
 // rejected rather than silently papered over.
@@ -140,8 +130,7 @@ func MergeSnapshots(parts []*Snapshot) (*Snapshot, error) {
 	out := *parts[0]
 	for i, p := range parts {
 		if p.Schema != out.Schema || p.Model != out.Model || p.TempC != out.TempC ||
-			p.IntervalMs != out.IntervalMs || p.Computed != out.Computed ||
-			p.FirstComputeMs != out.FirstComputeMs || p.NextDueMs != out.NextDueMs {
+			p.IntervalMs != out.IntervalMs {
 			return nil, fmt.Errorf("netserver: shard %d snapshot disagrees on global state", i)
 		}
 		if p.ClockMs > out.ClockMs {

@@ -3,6 +3,7 @@ package netserver
 import (
 	"encoding/json"
 	"math"
+	"os"
 	"reflect"
 	"testing"
 
@@ -95,7 +96,7 @@ func TestRegisterResetsWatermarksReplayHazard(t *testing.T) {
 }
 
 // buildBusyServer ingests a few days of cycling reports for three nodes
-// and recomputes, leaving non-trivial tracker, watermark, and grid
+// and recomputes, leaving non-trivial tracker, watermark, and clock
 // state behind.
 func buildBusyServer(t *testing.T) *Server {
 	t.Helper()
@@ -113,7 +114,7 @@ func buildBusyServer(t *testing.T) *Server {
 				battery.EncodeTransition(battery.Transition{At: at.Add(40 * simtime.Minute), SoC: 0.95}, at.Add(simtime.Hour), window),
 			}, at.Add(simtime.Hour), window)
 		}
-		s.RecomputeIfDue(at.Add(2 * simtime.Hour))
+		s.Recompute(at.Add(2 * simtime.Hour))
 	}
 	return s
 }
@@ -130,7 +131,7 @@ func continueServer(s *Server) []NodeWu {
 				battery.EncodeTransition(battery.Transition{At: at.Add(25 * simtime.Minute), SoC: 0.9}, at.Add(simtime.Hour), window),
 			}, at.Add(simtime.Hour), window)
 		}
-		s.RecomputeIfDue(at.Add(2 * simtime.Hour))
+		s.Recompute(at.Add(2 * simtime.Hour))
 	}
 	return s.WuTable()
 }
@@ -138,56 +139,92 @@ func continueServer(s *Server) []NodeWu {
 // TestServerSnapshotRoundTrip is the server-level exactness proof: a
 // server restored from a JSON-serialized snapshot must produce
 // byte-identical w_u tables and bit-identical degradations on every
-// subsequent ingest/recompute, versus the uninterrupted server.
+// subsequent ingest/recompute, versus the uninterrupted server. It runs
+// for the current schema and for testdata/snapshot_schema2.json — the
+// same busy server written as schema 2, which still carries the three
+// first-call recompute anchor fields that Restore must ignore.
 func TestServerSnapshotRoundTrip(t *testing.T) {
-	orig := buildBusyServer(t)
-
-	data, err := json.Marshal(orig.Snapshot())
+	schema2, err := os.ReadFile("testdata/snapshot_schema2.json")
 	if err != nil {
-		t.Fatalf("marshal: %v", err)
+		t.Fatal(err)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatalf("unmarshal: %v", err)
+	for _, tc := range []struct {
+		name string
+		load func(current []byte) []byte
+	}{
+		{"current schema", func(b []byte) []byte { return b }},
+		{"schema 2", func([]byte) []byte { return schema2 }},
+	} {
+		orig := buildBusyServer(t)
+		want, err := json.Marshal(orig.Snapshot())
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		var snap Snapshot
+		if err := json.Unmarshal(tc.load(want), &snap); err != nil {
+			t.Fatalf("%s: unmarshal: %v", tc.name, err)
+		}
+		restored, err := Restore(&snap)
+		if err != nil {
+			t.Fatalf("%s: Restore: %v", tc.name, err)
+		}
+		// Everything but the dropped fields carries over — trackers,
+		// dissemination results, watermarks, clock — in the current
+		// schema.
+		if got, err := json.Marshal(restored.Snapshot()); err != nil || string(got) != string(want) {
+			t.Fatalf("%s: re-snapshot of the restored server differs (err %v):\n%s\n%s", tc.name, err, got, want)
+		}
+
+		if got, want := continueServer(restored), continueServer(orig); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: w_u table diverged after restore:\n%v\n%v", tc.name, got, want)
+		}
+		for _, id := range []int{0, 2, 5} {
+			if got, want := restored.Degradation(id), orig.Degradation(id); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: node %d degradation diverged after continuation: %v vs %v", tc.name, id, got, want)
+			}
+		}
 	}
-	restored, err := Restore(&snap)
+}
+
+// TestRestoreBetweenBarriers: traffic ingested after the latest barrier
+// but before the snapshot must reach the restored server's next barrier
+// at that same slot. The restored server cannot know the slot's pass is
+// stale, so its first barrier always evaluates.
+func TestRestoreBetweenBarriers(t *testing.T) {
+	orig := buildBusyServer(t)
+	before := orig.WuTable()
+
+	// Node 2 cycles deeply within the slot of the latest barrier.
+	window := simtime.Minute
+	at := orig.Clock().Add(simtime.Hour)
+	var reports []battery.Report
+	for i := 0; i < 60; i++ {
+		soc := 0.05
+		if i%2 == 1 {
+			soc = 1
+		}
+		tr := battery.Transition{At: at.Add(-simtime.Duration(60-i) * window), SoC: soc}
+		reports = append(reports, battery.EncodeTransition(tr, at, window))
+	}
+	orig.Ingest(2, reports, at, window)
+
+	restored, err := Restore(orig.Snapshot())
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-
-	if restored.NumNodes() != orig.NumNodes() {
-		t.Fatalf("restored NumNodes = %d, want %d", restored.NumNodes(), orig.NumNodes())
+	if GridInstant(at, orig.interval) != orig.GridInstant() {
+		t.Fatal("test premise broken: the ingest left the latest barrier's slot")
 	}
-	// Pre-recompute dissemination state carries over.
-	for _, id := range []int{0, 2, 5} {
-		if got, want := restored.NormalizedDegradation(id), orig.NormalizedDegradation(id); got != want {
-			t.Fatalf("node %d restored w_u %v, want %v", id, got, want)
-		}
-		if got, want := restored.Degradation(id), orig.Degradation(id); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("node %d restored degradation %v, want %v (bit-exact)", id, got, want)
-		}
+	if !restored.Recompute(at) {
+		t.Error("first barrier after a restore skipped the degradation pass")
 	}
-
-	wantTable := continueServer(orig)
-	gotTable := continueServer(restored)
-	if len(wantTable) != len(gotTable) {
-		t.Fatalf("table length %d vs %d", len(gotTable), len(wantTable))
+	orig.Recompute(at)
+	want := orig.WuTable()
+	if reflect.DeepEqual(want, before) {
+		t.Fatal("test premise broken: the post-barrier ingest did not change w_u")
 	}
-	for i := range wantTable {
-		if gotTable[i] != wantTable[i] {
-			t.Fatalf("w_u table row %d diverged after restore: %+v vs %+v", i, gotTable[i], wantTable[i])
-		}
-	}
-	for _, id := range []int{0, 2, 5} {
-		if got, want := restored.Degradation(id), orig.Degradation(id); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("node %d degradation diverged after continuation: %v vs %v", id, got, want)
-		}
-	}
-	// The recompute grid anchor also survives: both sides agree on what
-	// is due next.
-	probe := simtime.Time(20*simtime.Day + 3*simtime.Hour)
-	if restored.RecomputeIfDue(probe) != orig.RecomputeIfDue(probe) {
-		t.Fatal("restored server disagrees on recompute due-ness")
+	if got := restored.WuTable(); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored server published %v, want %v", got, want)
 	}
 }
 
@@ -219,10 +256,13 @@ func TestSnapshotPreservesWatermarks(t *testing.T) {
 // TestRestoreRejectsForeignSchema: a daemon must refuse to restore a
 // snapshot written by an incompatible layout.
 func TestRestoreRejectsForeignSchema(t *testing.T) {
-	snap := newTestServer(t).Snapshot()
-	snap.Schema = SnapshotSchema + 1
-	if _, err := Restore(snap); err == nil {
-		t.Error("Restore accepted a foreign schema")
+	for _, schema := range []int{1, 2, SnapshotSchema, 4} {
+		snap := newTestServer(t).Snapshot()
+		snap.Schema = schema
+		_, err := Restore(snap)
+		if accepted := schema == 2 || schema == SnapshotSchema; (err == nil) != accepted {
+			t.Errorf("Restore of schema %d: err = %v, want accepted = %v", schema, err, accepted)
+		}
 	}
 	bad := newTestServer(t).Snapshot()
 	bad.Nodes = []NodeSnapshot{{ID: 3}, {ID: 3}}
@@ -275,7 +315,7 @@ func TestSnapshotSplitMergeRoundTrip(t *testing.T) {
 func TestMergeSnapshotsRejectsDisagreement(t *testing.T) {
 	a := buildBusyServer(t).Snapshot()
 	b := buildBusyServer(t).Snapshot()
-	b.NextDueMs += 1
+	b.IntervalMs += 1
 	b.Nodes = nil
 	a.Nodes = a.Nodes[:1]
 	if _, err := MergeSnapshots([]*Snapshot{a, b}); err == nil {

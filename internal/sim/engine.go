@@ -49,7 +49,7 @@ const (
 	// engineRingMinutes is the staging span: one bucket per simulated
 	// minute, power of two. 2048 minutes (~34 h) covers every periodic
 	// reschedule shape the simulator produces — sampling periods,
-	// window deferrals, obs sampling, the daily tick — with room to
+	// window deferrals, obs sampling, the recompute tick — with room to
 	// spare; anything farther (monthly ticks, multi-day brownouts)
 	// falls back to the heap, where rare events cost nothing extra.
 	engineRingMinutes = 2048

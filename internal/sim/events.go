@@ -10,7 +10,7 @@ const (
 	evTxEnd                  // uplink airtime over: resolve reception
 	evDownlink               // gateway starts the reserved ACK downlink
 	evAckDone                // receive window closes with the ACK decoded
-	evDaily                  // gateway degradation recomputation tick
+	evRecompute              // gateway degradation recomputation tick
 	evMonthly                // monthly degradation sampling tick
 	evBrownout               // fault injection: node restart losing volatile state
 	evObsSample              // observability: sample every node's timeline row
@@ -59,8 +59,8 @@ func (e *simEvent) Fire() {
 		sh.med.BeginDownlink(gw, until)
 	case evAckDone:
 		sh.ackDelivered(n, pkt, gen)
-	case evDaily:
-		sh.dailyTick()
+	case evRecompute:
+		sh.recomputeTick()
 	case evMonthly:
 		sh.monthlyTick()
 	case evBrownout:

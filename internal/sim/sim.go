@@ -395,7 +395,7 @@ func (s *Simulation) RunOpt(opt RunOptions) (*Result, error) {
 			n.owner.schedule(at, evBrownout, n, nil, nil, nil, 0, 0)
 		}
 	}
-	s.coord.schedule(0, evDaily, nil, nil, nil, nil, 0, 0)
+	s.coord.schedule(0, evRecompute, nil, nil, nil, nil, 0, 0)
 	s.coord.schedule(simtime.Time(30*simtime.Day), evMonthly, nil, nil, nil, nil, 0, 0)
 	if s.obs.Enabled() {
 		s.coord.schedule(0, evObsSample, nil, nil, nil, nil, 0, 0)
@@ -473,22 +473,23 @@ func (sh *shard) obsSample() {
 	s.coord.schedule(now.Add(s.obs.SampleEvery()), evObsSample, nil, nil, nil, nil, 0, 0)
 }
 
-// dailyTick runs the gateway's daily degradation recomputation and the
-// EoL stop condition, on the coordinator lane.
-func (sh *shard) dailyTick() {
+// recomputeTick runs the gateway's degradation recomputation and the EoL
+// stop condition on the coordinator lane, once per DegradationInterval,
+// so each tick lands on a fresh slot of the recompute grid.
+func (sh *shard) recomputeTick() {
 	s := sh.s
 	now := sh.eng.Now()
-	// An offline gateway misses its recompute slot; the grid-aligned
-	// schedule catches up on the first tick after the outage ends.
+	// An offline gateway misses its recompute slot; the next tick after
+	// the outage ends evaluates its own slot.
 	if !s.plan.GatewayDown(now) {
-		s.server.RecomputeIfDue(now)
+		s.server.Recompute(now)
 	}
 	if s.cfg.RunToEoL && s.maxGroundTruthDeg(now) >= s.cfg.BatteryModel.EoLThreshold {
 		s.lifespanDays = now.Days()
 		s.halt(now)
 		return
 	}
-	sh.schedule(now.Add(simtime.Day), evDaily, nil, nil, nil, nil, 0, 0)
+	sh.schedule(now.Add(s.cfg.DegradationInterval), evRecompute, nil, nil, nil, nil, 0, 0)
 }
 
 func (sh *shard) monthlyTick() {

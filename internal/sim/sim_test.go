@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/simtime"
 )
 
@@ -29,6 +30,30 @@ func mustRun(t *testing.T, cfg config.Scenario, hooks Hooks) *Result {
 		t.Fatalf("Run: %v", err)
 	}
 	return res
+}
+
+// TestRecomputeTickFollowsDegradationInterval: the gateway recomputes
+// once per DegradationInterval, at every grid instant from 0 through the
+// end of the run — not on a fixed daily tick that would skip slots of a
+// shorter interval and re-evaluate the same slot of a longer one.
+func TestRecomputeTickFollowsDegradationInterval(t *testing.T) {
+	for _, tc := range []struct {
+		interval simtime.Duration
+		want     int64
+	}{
+		{6 * simtime.Hour, 17},
+		{simtime.Day, 5},
+		{2 * simtime.Day, 3},
+	} {
+		cfg := smallScenario(config.ProtocolBLA)
+		cfg.Duration = 4 * simtime.Day
+		cfg.DegradationInterval = tc.interval
+		rec := obs.New(obs.Manifest{Tool: "test"}, 0)
+		mustRun(t, cfg, Hooks{Obs: rec})
+		if got := rec.Counter("netserver.recomputes").Value(); got != tc.want {
+			t.Errorf("interval %v: %d recomputes over 4 days, want %d", tc.interval, got, tc.want)
+		}
+	}
 }
 
 func TestNewRejectsInvalidScenario(t *testing.T) {

@@ -106,13 +106,13 @@ func (g *Gateway) AckPayload(nodeID int) float64 {
 	return g.server.NormalizedDegradation(nodeID)
 }
 
-// Recompute runs the daily degradation recomputation; an outage window
-// skips the slot and the grid-aligned schedule catches up afterwards.
+// Recompute runs the periodic degradation recomputation at the grid
+// slot holding now; an outage window skips the slot.
 func (g *Gateway) Recompute(now simtime.Time) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.plan.GatewayDown(now) {
 		return
 	}
-	g.server.RecomputeIfDue(now)
+	g.server.Recompute(now)
 }
