@@ -239,20 +239,11 @@ func (b *Battery) record(now simtime.Time, dir int) {
 	b.lastDir = dir
 }
 
-// DrainTransitions returns the direction-change transitions recorded
-// since the previous call and clears the pending list. The node appends
-// these to its next uplink packet.
-func (b *Battery) DrainTransitions() []Transition {
-	t := b.transitions
-	b.transitions = nil
-	return t
-}
-
-// AppendTransitions appends the pending transitions to dst, clears the
-// pending list, and returns dst. Unlike DrainTransitions it keeps the
-// internal buffer's capacity, so a caller that copies the values out
-// anyway (the node's report queue) drains without allocating once the
-// buffer has grown to its steady-state size.
+// AppendTransitions appends the direction-change transitions recorded
+// since the previous call to dst, clears the pending list, and returns
+// dst. The node queues these for its next uplink packets. The internal
+// buffer keeps its capacity, so a caller that reuses dst drains without
+// allocating once both have grown to their steady-state size.
 func (b *Battery) AppendTransitions(dst []Transition) []Transition {
 	if need := len(dst) + len(b.transitions); cap(dst) < need {
 		nd := make([]Transition, len(dst), max(2*need, 8))

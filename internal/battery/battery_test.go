@@ -120,7 +120,7 @@ func TestTransitionsRecordedOnDirectionChange(t *testing.T) {
 	b.Discharge(simtime.Time(4*simtime.Minute), 1) // still discharging
 	b.Charge(simtime.Time(5*simtime.Minute), 1)    // flip: transition
 
-	got := b.DrainTransitions()
+	got := b.AppendTransitions(nil)
 	if len(got) != 2 {
 		t.Fatalf("transitions = %+v, want 2", got)
 	}
@@ -135,9 +135,9 @@ func TestTransitionsRecordedOnDirectionChange(t *testing.T) {
 	}
 
 	if b.PendingTransitions() != 0 {
-		t.Error("DrainTransitions should clear the pending list")
+		t.Error("AppendTransitions should clear the pending list")
 	}
-	if more := b.DrainTransitions(); len(more) != 0 {
+	if more := b.AppendTransitions(nil); len(more) != 0 {
 		t.Errorf("second drain returned %v", more)
 	}
 }
@@ -276,7 +276,7 @@ func TestDischargeRunMatchesSequentialDischarges(t *testing.T) {
 		if refD, runD := ref.tracker.Damage(age), run.tracker.Damage(age); refD != runD {
 			t.Fatalf("trial %d: damage %+v != %+v", trial, refD, runD)
 		}
-		refTr, runTr := ref.DrainTransitions(), run.DrainTransitions()
+		refTr, runTr := ref.AppendTransitions(nil), run.AppendTransitions(nil)
 		if len(refTr) != len(runTr) {
 			t.Fatalf("trial %d: transitions %v != %v", trial, refTr, runTr)
 		}
@@ -341,7 +341,7 @@ func TestChargeRunMatchesSequentialCharges(t *testing.T) {
 		if refD, runD := ref.tracker.Damage(age), run.tracker.Damage(age); refD != runD {
 			t.Fatalf("trial %d: damage %+v != %+v", trial, refD, runD)
 		}
-		if refTr, runTr := ref.DrainTransitions(), run.DrainTransitions(); len(refTr) != len(runTr) {
+		if refTr, runTr := ref.AppendTransitions(nil), run.AppendTransitions(nil); len(refTr) != len(runTr) {
 			t.Fatalf("trial %d: transitions %v != %v", trial, refTr, runTr)
 		}
 		// The collapsed run must leave the counter mid-run exactly like
@@ -349,7 +349,7 @@ func TestChargeRunMatchesSequentialCharges(t *testing.T) {
 		// including the transition it reports.
 		ref.Discharge(now, 3)
 		run.Discharge(now, 3)
-		refTr, runTr := ref.DrainTransitions(), run.DrainTransitions()
+		refTr, runTr := ref.AppendTransitions(nil), run.AppendTransitions(nil)
 		if len(refTr) != 1 || len(runTr) != 1 || refTr[0] != runTr[0] {
 			t.Fatalf("trial %d: post-flip transitions %v != %v", trial, refTr, runTr)
 		}

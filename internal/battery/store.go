@@ -30,12 +30,8 @@ type Store interface {
 	Damage(now simtime.Time) Breakdown
 	// AtEoL reports whether the battery reached end of life.
 	AtEoL(now simtime.Time) bool
-	// DrainTransitions returns and clears the battery's reportable SoC
-	// transitions.
-	DrainTransitions() []Transition
 	// AppendTransitions appends the reportable SoC transitions to dst,
-	// clears the pending list, and returns dst; unlike DrainTransitions
-	// it keeps the internal buffer for reuse.
+	// clears the pending list, and returns dst.
 	AppendTransitions(dst []Transition) []Transition
 }
 
@@ -139,9 +135,6 @@ func (h *Hybrid) Damage(now simtime.Time) Breakdown { return h.batt.Damage(now) 
 
 // AtEoL implements Store.
 func (h *Hybrid) AtEoL(now simtime.Time) bool { return h.batt.AtEoL(now) }
-
-// DrainTransitions implements Store.
-func (h *Hybrid) DrainTransitions() []Transition { return h.batt.DrainTransitions() }
 
 // AppendTransitions implements Store.
 func (h *Hybrid) AppendTransitions(dst []Transition) []Transition {

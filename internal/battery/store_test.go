@@ -163,7 +163,7 @@ func TestHybridDelegations(t *testing.T) {
 	h.Discharge(1, 5)
 	h.Charge(2, 3)
 	h.Discharge(3, 4)
-	if got := len(h.DrainTransitions()); got == 0 {
+	if got := len(h.AppendTransitions(nil)); got == 0 {
 		t.Error("expected delegated transitions")
 	}
 }

@@ -136,7 +136,7 @@ func TestGatewayReconstructionAccuracy(t *testing.T) {
 		b.Charge(now.Add(10*simtime.Hour), 3)
 		// The node reports its transitions on its next packet.
 		packetAt := now.Add(11 * simtime.Hour)
-		for _, tr := range b.DrainTransitions() {
+		for _, tr := range b.AppendTransitions(nil) {
 			report := EncodeTransition(tr, packetAt, window)
 			gw.Push(report.Decode(packetAt, window).SoC)
 		}

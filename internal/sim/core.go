@@ -96,11 +96,11 @@ func (n *Node) dayPowers(day int64) []float64 {
 // bit-for-bit against the reference implementation.
 var debugGenericIntegrate bool
 
-// integrate advances the node's energy state from its last integration
+// Integrate advances the node's energy state from its last integration
 // point to now: per-minute harvesting (taught to the forecaster),
 // baseline sleep draw, and battery charge/discharge with the protocol's
 // theta cap applied by the battery itself.
-func (n *Node) integrate(to simtime.Time) {
+func (n *Node) Integrate(to simtime.Time) {
 	c, i := n.ensureCore()
 	from := c.lastIntegrated[i]
 	if to <= from {

@@ -113,8 +113,8 @@ func TestGatewayCountReflectedInMedium(t *testing.T) {
 		t.Errorf("medium gateways = %d, want 3", got)
 	}
 	for _, n := range s.Nodes() {
-		if len(n.rxPowerDBm) != 3 {
-			t.Fatalf("node %d has %d gateway powers, want 3", n.ID, len(n.rxPowerDBm))
+		if len(n.RxPowerDBm) != 3 {
+			t.Fatalf("node %d has %d gateway powers, want 3", n.ID, len(n.RxPowerDBm))
 		}
 	}
 }

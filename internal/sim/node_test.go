@@ -7,6 +7,7 @@ import (
 	"repro/internal/battery"
 	"repro/internal/energy"
 	"repro/internal/lora"
+	"repro/internal/mac"
 	"repro/internal/metrics"
 	"repro/internal/simtime"
 )
@@ -54,7 +55,7 @@ func newBareNode(t *testing.T, capacityJ, initialSoC, sleepW, harvestW float64) 
 func TestNodeIntegrateEnergyBalance(t *testing.T) {
 	// Harvest 2 mW, sleep 0.5 mW: net +1.5 mW charges the battery.
 	n, fc := newBareNode(t, 100, 0.5, 0.5e-3, 2e-3)
-	n.integrate(simtime.Time(simtime.Hour))
+	n.Integrate(simtime.Time(simtime.Hour))
 	wantNet := (2e-3 - 0.5e-3) * 3600
 	if got := n.Batt.Stored() - 50; !closeEnough(got, wantNet) {
 		t.Errorf("battery gained %v J, want %v", got, wantNet)
@@ -67,7 +68,7 @@ func TestNodeIntegrateEnergyBalance(t *testing.T) {
 func TestNodeIntegrateDrainsOnDeficit(t *testing.T) {
 	// No harvest: sleep drains the battery.
 	n, _ := newBareNode(t, 10, 0.5, 1e-3, 0)
-	n.integrate(simtime.Time(simtime.Hour))
+	n.Integrate(simtime.Time(simtime.Hour))
 	want := 5 - 1e-3*3600
 	if got := n.Batt.Stored(); !closeEnough(got, want) {
 		t.Errorf("stored = %v, want %v", got, want)
@@ -78,10 +79,10 @@ func TestNodeIntegrateExtraDraw(t *testing.T) {
 	// A 0.2 J radio draw lands in the next balance chunk; harvest within
 	// that chunk offsets it (the Eq. 5 switch).
 	n, _ := newBareNode(t, 10, 0.5, 0, 0.2/60) // harvest exactly 0.2 J/min
-	n.integrate(simtime.Time(10 * simtime.Minute))
+	n.Integrate(simtime.Time(10 * simtime.Minute))
 	before := n.Batt.Stored()
-	n.draw(0.2)
-	n.integrate(simtime.Time(11 * simtime.Minute))
+	n.Draw(0.2)
+	n.Integrate(simtime.Time(11 * simtime.Minute))
 	if got := n.Batt.Stored(); !closeEnough(got, before) {
 		t.Errorf("covered draw changed battery by %v", got-before)
 	}
@@ -89,8 +90,8 @@ func TestNodeIntegrateExtraDraw(t *testing.T) {
 		t.Error("fully covered draw must not create SoC transitions")
 	}
 	// An uncovered draw hits the battery.
-	n.draw(1.0)
-	n.integrate(simtime.Time(12 * simtime.Minute))
+	n.Draw(1.0)
+	n.Integrate(simtime.Time(12 * simtime.Minute))
 	if got := before - n.Batt.Stored(); !closeEnough(got, 0.8) {
 		t.Errorf("uncovered draw took %v J from the battery, want 0.8", got)
 	}
@@ -98,10 +99,10 @@ func TestNodeIntegrateExtraDraw(t *testing.T) {
 
 func TestNodeIntegrateIdempotent(t *testing.T) {
 	n, _ := newBareNode(t, 10, 0.5, 1e-3, 0)
-	n.integrate(simtime.Time(simtime.Hour))
+	n.Integrate(simtime.Time(simtime.Hour))
 	got := n.Batt.Stored()
-	n.integrate(simtime.Time(simtime.Hour))        // same instant: no-op
-	n.integrate(simtime.Time(30 * simtime.Minute)) // past: no-op
+	n.Integrate(simtime.Time(simtime.Hour))        // same instant: no-op
+	n.Integrate(simtime.Time(30 * simtime.Minute)) // past: no-op
 	if n.Batt.Stored() != got {
 		t.Error("repeated/backward integration changed state")
 	}
@@ -124,7 +125,7 @@ func TestParamsForAttemptEscalation(t *testing.T) {
 		{20, lora.SF12}, // capped
 	}
 	for _, tt := range tests {
-		if got := n.paramsForAttempt(tt.attempt).SF; got != tt.want {
+		if got := n.ParamsForAttempt(tt.attempt).SF; got != tt.want {
 			t.Errorf("attempt %d SF = %v, want %v", tt.attempt, got, tt.want)
 		}
 	}
@@ -166,7 +167,7 @@ func TestDrainReportsBacklogBounded(t *testing.T) {
 
 func TestEncodeReportsRoundTrip(t *testing.T) {
 	n, _ := newBareNode(t, 10, 0.5, 0, 0)
-	if got := n.encodeReports(0, simtime.Minute); got != nil {
+	if got := n.EncodeReports(0, simtime.Minute); got != nil {
 		t.Errorf("no pending reports should encode to nil, got %v", got)
 	}
 	n.Batt.Discharge(simtime.Time(simtime.Minute), 2)
@@ -174,7 +175,7 @@ func TestEncodeReportsRoundTrip(t *testing.T) {
 	n.Batt.Discharge(simtime.Time(3*simtime.Minute), 1)
 	n.drainReports()
 	packetAt := simtime.Time(10 * simtime.Minute)
-	reports := n.encodeReports(packetAt, simtime.Minute)
+	reports := n.EncodeReports(packetAt, simtime.Minute)
 	if len(reports) != len(n.pendingTrans) {
 		t.Fatalf("encoded %d, want %d", len(reports), len(n.pendingTrans))
 	}
@@ -183,6 +184,65 @@ func TestEncodeReportsRoundTrip(t *testing.T) {
 		if d := back.SoC - n.pendingTrans[i].SoC; d > 1e-4 || d < -1e-4 {
 			t.Errorf("report %d SoC %v, want %v", i, back.SoC, n.pendingTrans[i].SoC)
 		}
+	}
+}
+
+// TestEncodeReportsCappedToChargedSlice pins the per-packet report cap:
+// an attempt sizes payload and airtime for at most maxReportsPerPacket
+// reports, so the uplink must carry exactly those — the most recent
+// ones — even when the backlog holds more.
+func TestEncodeReportsCappedToChargedSlice(t *testing.T) {
+	n, _ := newBareNode(t, 10, 0.5, 0, 0)
+	for i := 0; i < 16; i++ {
+		n.pendingTrans = append(n.pendingTrans, battery.Transition{
+			At:  simtime.Time(i) * simtime.Time(simtime.Minute),
+			SoC: 0.1 + 0.05*float64(i),
+		})
+	}
+	packetAt := simtime.Time(20 * simtime.Minute)
+	reports := n.EncodeReports(packetAt, simtime.Minute)
+	if len(reports) != maxReportsPerPacket {
+		t.Fatalf("encoded %d reports from a 16-deep backlog, want %d (the charged slice)",
+			len(reports), maxReportsPerPacket)
+	}
+	tail := n.pendingTrans[len(n.pendingTrans)-maxReportsPerPacket:]
+	for i, r := range reports {
+		back := r.Decode(packetAt, simtime.Minute)
+		if d := back.SoC - tail[i].SoC; d > 1e-4 || d < -1e-4 {
+			t.Errorf("report %d SoC %v, want the recent transition's %v", i, back.SoC, tail[i].SoC)
+		}
+	}
+}
+
+// TestNodeRebootLosesVolatileStateAndPaysJoin pins the node half of a
+// brownout, shared by the simulator and the testbed: the report backlog
+// and the battery's unreported transitions are gone, and the rejoin
+// exchange is drawn from the next balance chunk.
+func TestNodeRebootLosesVolatileStateAndPaysJoin(t *testing.T) {
+	n, _ := newBareNode(t, 10, 0.5, 0, 0)
+	n.Proto = mac.ALOHA{}
+	n.RxEnergyJ = 0.01
+	n.Batt.Discharge(simtime.Time(simtime.Minute), 1)
+	n.Batt.Charge(simtime.Time(2*simtime.Minute), 0.5)
+	n.Reports()
+	n.Batt.Discharge(simtime.Time(3*simtime.Minute), 1) // recorded, never reported
+	if len(n.pendingTrans) == 0 {
+		t.Fatal("setup queued no reports; the assertions below would be vacuous")
+	}
+	now := simtime.Time(5 * simtime.Minute)
+	n.Reboot(now)
+	if len(n.pendingTrans) != 0 || len(n.Reports()) != 0 {
+		t.Error("reboot must drop the report backlog and the unreported transitions")
+	}
+	joinE := n.Params.TxEnergy(joinPayloadBytes) + n.RxEnergyJ
+	if n.Stats.Brownouts != 1 || n.Stats.TxEnergyJ != joinE {
+		t.Errorf("brownouts = %d, tx energy = %v; want 1 and the join exchange %v",
+			n.Stats.Brownouts, n.Stats.TxEnergyJ, joinE)
+	}
+	before := n.Batt.Stored()
+	n.Integrate(now.Add(simtime.Minute))
+	if got := before - n.Batt.Stored(); !closeEnough(got, joinE) {
+		t.Errorf("join exchange took %v J from the battery, want %v", got, joinE)
 	}
 }
 

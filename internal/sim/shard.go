@@ -175,10 +175,10 @@ func (n *Node) attachDayBase() {
 // is judged at the node's final-attempt SF — the most sensitive one —
 // which makes the interior classification exact for every attempt.
 func (s *Simulation) assignNode(n *Node) {
-	maxSF := n.paramsForAttempt(s.cfg.MaxAttempts - 1).SF
+	maxSF := n.ParamsForAttempt(s.cfg.MaxAttempts - 1).SF
 	sens := lora.Sensitivity(maxSF, lora.BW125)
 	first, multi := -1, false
-	for g, rx := range n.rxPowerDBm {
+	for g, rx := range n.RxPowerDBm {
 		if rx < sens {
 			continue
 		}
@@ -193,19 +193,19 @@ func (s *Simulation) assignNode(n *Node) {
 	if !multi {
 		// Audible in at most one cell (possibly none: then any lane is
 		// exact — nothing ever hears the node).
-		n.owner = s.shards[s.gwShard[radio.StrongestGateway(n.rxPowerDBm)]]
+		n.owner = s.shards[s.gwShard[radio.StrongestGateway(n.RxPowerDBm)]]
 		n.borderPow = nil
 		return
 	}
 	n.owner = s.coord
 	pow := make([][]float64, len(s.shards))
-	for g, rx := range n.rxPowerDBm {
+	for g, rx := range n.RxPowerDBm {
 		if rx < sens || pow[s.gwShard[g]] != nil {
 			continue
 		}
 		t := s.gwShard[g]
-		m := make([]float64, len(n.rxPowerDBm))
-		for gg, rr := range n.rxPowerDBm {
+		m := make([]float64, len(n.RxPowerDBm))
+		for gg, rr := range n.RxPowerDBm {
 			if s.gwShard[gg] == t {
 				m[gg] = rr
 			} else {
@@ -315,7 +315,7 @@ func (sh *shard) endBorderUplink(n *Node, btx *borderTx) []int {
 		anyCorrupted = anyCorrupted || c
 		anyUnlocked = anyUnlocked || u
 	}
-	sortDecodedByPower(buf, n.rxPowerDBm)
+	sortDecodedByPower(buf, n.RxPowerDBm)
 	s.borderDecoded = buf
 	s.shards[0].med.CountUplinkOutcome(len(buf), anyCorrupted, anyUnlocked)
 	sh.releaseBorderTx(btx)

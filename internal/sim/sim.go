@@ -18,7 +18,6 @@ import (
 	"repro/internal/radio"
 	"repro/internal/runner"
 	"repro/internal/simtime"
-	"repro/internal/utility"
 )
 
 // Protocol timing constants (LoRaWAN class A).
@@ -87,7 +86,6 @@ type Simulation struct {
 	server *netserver.Server
 	nodes  []*Node
 	trace  *energy.YearTrace // shared weather trace; lanes batch per-day fills off it
-	util   utility.Function
 	gwPos  []radio.Position
 	phy    *lora.Table  // memoized airtime/TX-energy per (SF, payload)
 	plan   *faults.Plan // nil unless the scenario injects faults
@@ -132,15 +130,7 @@ func New(cfg config.Scenario, hooks Hooks) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	// All nodes share bandwidth, coding rate, preamble and TX power; only
-	// SF and payload vary per attempt, so one lookup table covers every
-	// airtime/energy query of the run. attemptSpan's 64-byte worst case
-	// bounds the payload range alongside data + piggy-backed reports.
-	base := lora.DefaultParams()
-	base.TxPowerDBm = cfg.TxPowerDBm
-	maxPayload := max(cfg.PayloadBytes+battery.ReportSize*maxReportsPerPacket,
-		cfg.AckPayloadBytes, 64)
-	phy, err := lora.NewTable(base, maxPayload)
+	phy, err := NewPHYTable(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +140,6 @@ func New(cfg config.Scenario, hooks Hooks) (*Simulation, error) {
 		med:    NewMedium(lora.BW125, cfg.Demodulators, cfg.Gateways),
 		server: server,
 		trace:  trace,
-		util:   utility.Linear{},
 		gwPos:  radio.GatewayLayout(cfg.Gateways, cfg.MaxDistanceM),
 		phy:    phy,
 		obs:    hooks.Obs,
@@ -197,10 +186,23 @@ func New(cfg config.Scenario, hooks Hooks) (*Simulation, error) {
 	return s, nil
 }
 
-// buildNode constructs one node: placement, SF assignment, battery
-// sizing, energy source, forecaster, and protocol instance. ewma (may
-// be nil) and minuteBuf are this node's views into the construction
-// slabs New carved out; a nil ewma falls back to a solo allocation.
+// NewPHYTable builds the airtime/TX-energy lookup table for a scenario.
+// All nodes share bandwidth, coding rate, preamble and TX power; only SF
+// and payload vary per attempt, so one table covers every airtime/energy
+// query of a run. attemptSpan's 64-byte worst case bounds the payload
+// range alongside data + piggy-backed reports. The table is immutable,
+// so concurrent node goroutines may share it.
+func NewPHYTable(cfg config.Scenario) (*lora.Table, error) {
+	base := lora.DefaultParams()
+	base.TxPowerDBm = cfg.TxPowerDBm
+	return lora.NewTable(base, max(cfg.PayloadBytes+battery.ReportSize*maxReportsPerPacket,
+		cfg.AckPayloadBytes, 64))
+}
+
+// buildNode places one node and assigns its spreading factor, then
+// hands the rest of the construction to newNode. ewma (may be nil) and
+// minuteBuf are this node's views into the construction slabs New
+// carved out.
 func (s *Simulation) buildNode(id int, trace *energy.YearTrace, ewma *energy.DiurnalEWMA, minuteBuf []float64) (*Node, error) {
 	cfg := s.cfg
 	rng := rand.New(rand.NewPCG(cfg.Seed, uint64(id)+0x4ead))
@@ -236,128 +238,13 @@ func (s *Simulation) buildNode(id int, trace *energy.YearTrace, ewma *energy.Diu
 	params := lora.DefaultParams()
 	params.SF = sf
 	params.TxPowerDBm = cfg.TxPowerDBm
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-
-	// Sampling period, snapped to whole forecast windows.
-	span := int64(cfg.PeriodMax-cfg.PeriodMin) + 1
-	period := cfg.PeriodMin + simtime.Duration(rng.Int64N(span))
-	windows := int(period / cfg.ForecastWindow)
-	period = simtime.Duration(windows) * cfg.ForecastWindow
-
-	// Reference energies: one attempt carrying the base payload plus a
-	// typical two-report piggyback.
-	refPayload := cfg.PayloadBytes + 2*battery.ReportSize
-	txE := params.TxEnergy(refPayload)
-	rxE := lora.RxPower() * float64(rxWindowSymbols) * params.SymbolTime()
-	ackAirtime := params.Airtime(cfg.AckPayloadBytes)
-
-	// Battery sizing: 24 h of autonomous operation (Sec. II-C) unless
-	// the scenario pins a capacity.
-	capacity := cfg.BatteryCapacityJ
-	if capacity == 0 {
-		perDay := simtime.Day.Seconds() / period.Seconds()
-		capacity = cfg.SleepPowerW*simtime.Day.Seconds() + perDay*cfg.BatterySizingAttempts*(txE+rxE)
-	}
-	var store battery.Store
-	batt, err := battery.New(cfg.BatteryModel, capacity, cfg.InitialSoC, cfg.BatteryTempC)
+	n, err := newNode(cfg, id, trace, rng, params, rxPerGW, s.obs.Node(id), ewma, minuteBuf)
 	if err != nil {
 		return nil, err
 	}
-	store = batt
-	if cfg.SupercapJ > 0 {
-		if store, err = battery.NewHybrid(batt, cfg.SupercapJ, cfg.SupercapLeakW); err != nil {
-			return nil, err
-		}
-	}
-
-	// Panel sizing: peak generation funds PanelPeakMultiple transmissions
-	// per forecast window (Sec. II-C), floored so that a day of sun also
-	// covers the always-on sleep draw — low-SF nodes transmit so cheaply
-	// that the paper's TX-based rule alone would starve them.
-	peakW := max(energy.PeakPowerFor(txE, cfg.ForecastWindow, cfg.PanelPeakMultiple), 10*cfg.SleepPowerW)
-	src := trace.NodeSource(id, peakW, cfg.SolarVariation)
-	if minuteBuf != nil {
-		// Attach before any priming so the source's lazy day cache lands
-		// in the slab rather than allocating its own backing store.
-		if ms, ok := src.(interface{ SetMinuteBuf([]float64) }); ok {
-			ms.SetMinuteBuf(minuteBuf)
-		}
-	}
-
-	var fc energy.Forecaster
-	switch cfg.Forecast {
-	case config.ForecastPerfect:
-		fc = &energy.Perfect{Source: src}
-	case config.ForecastNoisy:
-		fc = energy.NewNoisy(src, cfg.ForecastNoise, cfg.Seed^uint64(id)*0x9e37)
-	default:
-		if ewma == nil {
-			ewma = energy.NewDiurnalEWMA(0.3)
-		}
-		ewma.Prime(src, cfg.ForecastPrimeDays)
-		fc = ewma
-	}
-
-	var proto mac.Protocol
-	switch cfg.Protocol {
-	case config.ProtocolLoRaWAN:
-		proto = mac.ALOHA{}
-	case config.ProtocolThetaOnly:
-		if proto, err = mac.NewThetaOnly(cfg.Theta); err != nil {
-			return nil, err
-		}
-	default:
-		if proto, err = mac.NewBLA(mac.BLAConfig{
-			Theta:              cfg.Theta,
-			WeightB:            cfg.WeightB,
-			Beta:               cfg.Beta,
-			Utility:            cfg.Utility,
-			Forecaster:         fc,
-			Window:             cfg.ForecastWindow,
-			MaxWindows:         int(cfg.PeriodMax / cfg.ForecastWindow),
-			SingleTxEnergyJ:    txE,
-			MaxAttempts:        cfg.MaxAttempts,
-			DisableRetxHistory: cfg.DisableRetxHistory,
-			WuTTL:              cfg.Faults.WuTTL,
-			WuStaleFallback:    cfg.Faults.WuStaleFallback,
-			Obs:                s.obs.Node(id),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	store.SetChargeLimit(proto.Theta())
-
-	// The solar substrate answers per-minute queries O(1) from its day
-	// cache; the integrator uses that path directly when available, and
-	// feeds whole-minute observations straight into the EWMA profile slot.
-	srcMin, _ := src.(energy.MinuteSource)
-	fcEWMA, _ := fc.(*energy.DiurnalEWMA)
-
-	return &Node{
-		ID:         id,
-		Pos:        pos,
-		rxPowerDBm: rxPerGW,
-		DistanceM:  pos.DistanceTo(radio.Position{}),
-		Params:     params,
-		Period:     period,
-		Windows:    windows,
-		CapacityJ:  capacity,
-		Proto:      proto,
-		Batt:       store,
-		Stats:      metrics.NewNodeStats(),
-		src:        src,
-		srcMin:     srcMin,
-		fc:         fc,
-		fcEWMA:     fcEWMA,
-		rng:        rng,
-		sleepW:     cfg.SleepPowerW,
-		rxEnergyJ:  rxE,
-		ackAirtime: ackAirtime,
-		span:       params.Airtime(64) + rxWindowsSpan + 3*simtime.Second,
-		obsTL:      s.obs.Node(id),
-	}, nil
+	n.Pos = pos
+	n.DistanceM = pos.DistanceTo(radio.Position{})
+	return n, nil
 }
 
 // Nodes exposes the node set for experiment probes.
@@ -418,7 +305,7 @@ func (s *Simulation) RunOpt(opt RunOptions) (*Result, error) {
 		LifespanDays:  s.lifespanDays,
 	}
 	for _, n := range s.nodes {
-		n.integrate(now)
+		n.Integrate(now)
 		if bla, ok := n.Proto.(*mac.BLA); ok {
 			n.Stats.StaleWuDecisions = bla.StaleDecisions()
 		}
@@ -467,8 +354,7 @@ func (sh *shard) obsSample() {
 	s := sh.s
 	now := sh.eng.Now()
 	for _, n := range s.nodes {
-		bd := n.Batt.Damage(now)
-		n.obsTL.Record(now, n.Batt.SoC(), bd.Calendar, bd.Cycle, bd.Total, len(n.pendingTrans))
+		n.RecordTimeline(now)
 	}
 	s.coord.schedule(now.Add(s.obs.SampleEvery()), evObsSample, nil, nil, nil, nil, 0, 0)
 }
@@ -517,34 +403,27 @@ func (s *Simulation) maxGroundTruthDeg(now simtime.Time) float64 {
 func (sh *shard) generate(n *Node) {
 	s := sh.s
 	now := sh.eng.Now()
-	n.integrate(now)
+	n.Integrate(now)
 
 	if n.pkt != nil && !n.pkt.finished {
 		sh.finish(n, n.pkt, false, now)
 	}
 
-	n.Stats.Generated++
-	dec := n.Proto.DecideTx(now, n.Windows, n.Batt.Stored())
-	n.obsTL.Decision(dec.Window, dec.Drop)
+	dec, window := n.Decide(now)
 	if s.hooks.OnDecision != nil {
 		s.hooks.OnDecision(n.ID, now, n.Windows, dec.Window, dec.Drop)
 	}
 
 	if dec.Drop {
-		n.Stats.NeverSent++
-		n.Stats.Dropped++
-		n.Stats.LatencyPenalized += n.Period
 		if s.hooks.OnPacketDone != nil {
 			s.hooks.OnPacketDone(n.ID, false, 0, -1)
 		}
 	} else {
-		window := mathx.ClampInt(dec.Window, 0, n.Windows-1)
 		pkt := sh.newPacket()
 		pkt.genAt = now
 		pkt.deadline = now.Add(n.Period)
 		pkt.window = window
 		n.pkt = pkt
-		n.Stats.WindowHist.Add(window)
 
 		var offset simtime.Duration
 		if dec.SpreadInWindow {
@@ -574,18 +453,13 @@ func (sh *shard) attempt(n *Node, pkt *packet, gen uint64) {
 	}
 	s := sh.s
 	now := sh.eng.Now()
-	n.integrate(now)
+	n.Integrate(now)
 
-	n.drainReports()
-	reports := n.pendingTrans
-	if len(reports) > maxReportsPerPacket {
-		reports = reports[len(reports)-maxReportsPerPacket:]
-	}
-	payload := s.cfg.PayloadBytes + battery.ReportSize*len(reports)
-	params := n.paramsForAttempt(pkt.attempts)
+	payload := s.cfg.PayloadBytes + battery.ReportSize*len(n.Reports())
+	params := n.ParamsForAttempt(pkt.attempts)
 	txE := s.phy.TxEnergy(params.SF, payload)
 
-	if !n.Batt.CanSupply(txE + n.rxEnergyJ) {
+	if !n.Batt.CanSupply(txE + n.RxEnergyJ) {
 		// Not enough stored energy: wait one forecast window for harvest,
 		// or give up at the period boundary.
 		retry := now.Add(s.cfg.ForecastWindow)
@@ -599,7 +473,7 @@ func (sh *shard) attempt(n *Node, pkt *packet, gen uint64) {
 
 	pkt.attempts++
 	n.Stats.Attempts++
-	n.draw(txE)
+	n.Draw(txE)
 	pkt.radioEnergyJ += txE
 	n.Stats.TxEnergyJ += txE
 
@@ -615,7 +489,7 @@ func (sh *shard) attempt(n *Node, pkt *packet, gen uint64) {
 	tx.NodeID = n.ID
 	tx.Channel = ch
 	tx.SF = params.SF
-	tx.PowerDBm = n.rxPowerDBm
+	tx.PowerDBm = n.RxPowerDBm
 	tx.Start = now
 	tx.End = end
 	sh.med.BeginUplink(tx)
@@ -638,11 +512,11 @@ func (sh *shard) txEnd(n *Node, pkt *packet, gen uint64, tx *Transmission, btx *
 		return
 	}
 	now := sh.eng.Now()
-	n.integrate(now)
+	n.Integrate(now)
 
 	// Receive windows cost energy whether or not an ACK arrives.
-	n.draw(n.rxEnergyJ)
-	pkt.radioEnergyJ += n.rxEnergyJ
+	n.Draw(n.RxEnergyJ)
+	pkt.radioEnergyJ += n.RxEnergyJ
 
 	if len(gws) > 0 {
 		// The switch mirrors the original short-circuit chain exactly:
@@ -657,7 +531,7 @@ func (sh *shard) txEnd(n *Node, pkt *packet, gen uint64, tx *Transmission, btx *
 			s.cDroppedBackhaul.Inc()
 			n.obsTL.RecordEvent(now, "uplink_dropped_backhaul")
 		default:
-			reports := n.encodeReports(now, s.cfg.ForecastWindow)
+			reports := n.EncodeReports(now, s.cfg.ForecastWindow)
 			s.server.Ingest(n.ID, reports, now, s.cfg.ForecastWindow)
 			if s.plan.DuplicateUplink(n.ID) {
 				// Backhaul duplication: the server sees the same packet twice;
@@ -667,7 +541,7 @@ func (sh *shard) txEnd(n *Node, pkt *packet, gen uint64, tx *Transmission, btx *
 			}
 			if !s.plan.DropDownlink(n.ID) {
 				rx1 := now.Add(rx1Delay)
-				ackEnd := rx1.Add(n.ackAirtime)
+				ackEnd := rx1.Add(n.AckAirtime)
 				for _, gw := range gws {
 					// The downlink runs on the lane owning the gateway's radio
 					// (this lane for interior nodes; possibly another worker lane
@@ -695,31 +569,19 @@ func (sh *shard) txEnd(n *Node, pkt *packet, gen uint64, tx *Transmission, btx *
 	sh.retryOrFail(n, pkt, now)
 }
 
-// brownout restarts a node: any in-flight packet dies, the protocol's
-// volatile state (w_u, learned estimators) and the unreported transition
-// backlog are lost, and the node re-registers with the gateway, which
-// keeps its accumulated degradation history. The energy cost of the
-// rejoin exchange is charged to the battery.
+// brownout restarts a node: any in-flight packet dies, the node reboots
+// (Node.Reboot), and it re-registers with the gateway, which keeps its
+// accumulated degradation history.
 func (sh *shard) brownout(n *Node) {
 	s := sh.s
 	now := sh.eng.Now()
-	n.integrate(now)
+	n.Integrate(now)
 
 	if n.pkt != nil && !n.pkt.finished {
 		sh.finish(n, n.pkt, false, now)
 	}
-	n.Proto.Reset()
-	n.pendingTrans = n.pendingTrans[:0]
-	n.transBuf = n.Batt.AppendTransitions(n.transBuf[:0]) // recorded but never reported: gone
-	n.Stats.Brownouts++
+	n.Reboot(now)
 	s.cBrownouts.Inc()
-	n.obsTL.RecordEvent(now, "brownout")
-
-	// Rejoin exchange: one uplink at the node's base settings plus the
-	// receive windows for the join accept.
-	joinE := s.phy.TxEnergy(n.Params.SF, joinPayloadBytes) + n.rxEnergyJ
-	n.draw(joinE)
-	n.Stats.TxEnergyJ += joinE
 	s.server.Rejoin(n.ID, n.Batt.SoC())
 
 	// The sampling timer restarts with the generation cycle already
@@ -752,38 +614,23 @@ func (sh *shard) ackDelivered(n *Node, pkt *packet, gen uint64) {
 	}
 	s := sh.s
 	now := sh.eng.Now()
-	n.integrate(now)
+	n.Integrate(now)
 	n.Proto.OnDegradationUpdate(now, s.server.NormalizedDegradation(n.ID))
-	n.pendingTrans = n.pendingTrans[:0] // reports delivered
+	n.ReportsDelivered()
 	sh.finish(n, pkt, true, now)
 }
 
-// finish settles a packet's fate and updates metrics and protocol
-// learning.
+// finish settles a packet's fate (Node.Settle) and recycles it.
 func (sh *shard) finish(n *Node, pkt *packet, delivered bool, now simtime.Time) {
 	s := sh.s
 	pkt.finished = true
 	n.pkt = nil
-
-	if delivered {
-		n.Stats.Delivered++
-		lat := now.Sub(pkt.genAt)
-		n.Stats.LatencyDelivered += lat
-		n.Stats.LatencyPenalized += lat
-		n.Stats.UtilitySum += s.util.Value(pkt.window, n.Windows)
-	} else {
-		n.Stats.Dropped++
-		n.Stats.LatencyPenalized += n.Period
-	}
-	if pkt.attempts > 0 {
-		n.Proto.OnOutcome(mac.Outcome{
-			Window:    pkt.window,
-			Attempts:  pkt.attempts,
-			EnergyJ:   pkt.radioEnergyJ,
-			Delivered: delivered,
-		})
-	}
-	n.obsTL.PacketDone(delivered, pkt.attempts)
+	n.Settle(mac.Outcome{
+		Window:    pkt.window,
+		Attempts:  pkt.attempts,
+		EnergyJ:   pkt.radioEnergyJ,
+		Delivered: delivered,
+	}, now.Sub(pkt.genAt))
 	if s.hooks.OnPacketDone != nil {
 		s.hooks.OnPacketDone(n.ID, delivered, pkt.attempts, pkt.window)
 	}

@@ -1,7 +1,11 @@
 // Package testbed emulates the paper's physical experiment (Sec. IV-B):
 // ten LoRa nodes and one gateway on a single shared channel, each node a
-// real concurrently executing goroutine running the same protocol code
-// as the simulator. Time is virtual: a deterministic lock-step clock
+// real concurrently executing goroutine. A node is the simulator's node
+// model (sim.NewNode): the same battery and panel sizing, forecaster,
+// protocol, energy integrator, report queue, SF back-off and brownout
+// reboot, driven by its goroutine instead of the event engine; the
+// gateway wraps the simulator's medium and network server. Only the
+// timing differs. Time is virtual: a deterministic lock-step clock
 // advances only when every participant is asleep, so a 24-hour
 // experiment completes in seconds while preserving true asynchrony
 // between nodes (goroutines awake at the same virtual instant really do
@@ -68,9 +72,10 @@ func (c *Clock) Now() simtime.Time {
 	return c.now
 }
 
-// AddWorker registers a goroutine that will block via Sleep. It must be
-// called before the goroutine's first Sleep (typically before spawning
-// it).
+// AddWorker registers a goroutine that will block via Sleep. Register
+// every worker of a run before spawning any of them: the clock advances
+// as soon as all registered workers sleep, so a goroutine that starts
+// while its peers are still unregistered runs ahead of them alone.
 func (c *Clock) AddWorker() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -75,9 +75,13 @@ func TestClockSimultaneousWakeups(t *testing.T) {
 	var awake atomic.Int32
 	var maxAwake atomic.Int32
 
-	var wg sync.WaitGroup
+	// Register every worker before the first one runs: a worker alone on
+	// the clock would advance it before its peers join.
 	for i := 0; i < workers; i++ {
 		c.AddWorker()
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
