@@ -34,6 +34,7 @@ type Battery struct {
 
 	fade    float64 // cached capacity-fade fraction in [0,1)
 	fadeAge simtime.Duration
+	fadeRev uint64 // SoC-history revision the cached fade was computed at
 
 	chargeLimit float64 // theta: max stored energy as fraction of current max capacity
 
@@ -296,27 +297,32 @@ func (b *Battery) ChargeNoopUntil(now, end simtime.Time) bool {
 // until end, any sequence of positive Charge calls that keeps the
 // stored energy at or below L is guaranteed to be accepted in full with
 // no capacity clamp — so each such Charge may be replaced by
-// ChargeProven, skipping the per-minute degradation query entirely. The
-// second result is false when the battery is already at or above L (no
-// useful span exists).
+// ChargeProven, skipping the per-minute degradation query entirely. At
+// or near capacity L may lie at or below the stored energy: no charge
+// is then proven.
 //
-// The proof: every charge in the span pushes a strictly larger SoC — a
-// monotone run — so Tracker.DegradationCeiling bounds the fade at every
-// instant t <= end. With stored+joules <= L = theta·original·(1−ceiling):
+// The proof: every charge in the span pushes a non-decreasing SoC no
+// higher than theta — a rising run, whether or not the battery was
+// charging when the proof was made — so Tracker.RunCeiling(end, theta)
+// bounds the fade at every instant t <= end, both before the run's first
+// push and after any of its pushes. With stored+joules <= L =
+// theta·original·(1−ceiling):
 //
 //   - refresh(t) cannot clamp: stored <= L <= original·(1−fade(t));
 //   - Headroom(t) = theta·original·(1−fade(t)) − stored >= joules, so
-//     accepted == joules exactly;
-//   - the skipped refresh mutates only the pure fade cache, which any
-//     later reader recomputes identically from the tracker.
+//     accepted == joules exactly (the ceiling's absolute margin keeps
+//     this true after rounding);
+//   - the skipped refresh mutates only the pure fade cache, which is
+//     keyed on (age, CounterRev), so any later reader recomputes it.
 //
 // The guarantee is conditional on the battery's SoC history not gaining
 // a turning point mid-span; callers must watch CounterRev and fall back
 // to plain Charge when it moves unexpectedly (any Discharge, or any
-// push outside the proven calls).
-func (b *Battery) FullAcceptLimit(end simtime.Time) (float64, bool) {
-	limit := b.chargeLimit * b.original * (1 - b.tracker.DegradationCeiling(simtime.Duration(end)))
-	return limit, limit > b.stored
+// push outside the proven calls). A plain Charge inside the span, full
+// or partial, continues the same rising run at or below theta, so the
+// proof survives it.
+func (b *Battery) FullAcceptLimit(end simtime.Time) float64 {
+	return b.chargeLimit * b.original * (1 - b.tracker.RunCeiling(simtime.Duration(end), b.chargeLimit))
 }
 
 // ChargeProven charges joules whose full acceptance a prior
@@ -339,15 +345,19 @@ func (b *Battery) CounterRev() uint64 { return b.tracker.counter.rev }
 // PendingTransitions returns how many transitions await reporting.
 func (b *Battery) PendingTransitions() int { return len(b.transitions) }
 
-// refresh recomputes the cached capacity fade if the battery aged since
-// the last computation, clamping stored energy to the shrunken capacity.
+// refresh recomputes the cached capacity fade unless it was computed
+// at this very age and SoC history, clamping stored energy to the
+// shrunken capacity. Keying on the history revision as well as the age
+// matters when a push lands at the instant of the last refresh: a read
+// at that instant must see the post-push fade.
 func (b *Battery) refresh(now simtime.Time) {
 	age := simtime.Duration(now)
-	if age <= b.fadeAge {
+	rev := b.tracker.counter.rev
+	if age == b.fadeAge && rev == b.fadeRev {
 		return
 	}
 	b.fade = b.tracker.Degradation(age)
-	b.fadeAge = age
+	b.fadeAge, b.fadeRev = age, rev
 	if maxCap := b.original * (1 - b.fade); b.stored > maxCap {
 		b.stored = maxCap
 	}

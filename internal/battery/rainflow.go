@@ -78,11 +78,12 @@ type Counter struct {
 	// OnCycle, if non-nil, is invoked for every permanently retired cycle.
 	OnCycle func(Cycle)
 
-	stack []float64
-	last  float64
-	dir   int    // +1 rising, -1 falling, 0 before the second distinct sample
-	n     int    // raw samples seen
-	rev   uint64 // bumped whenever the pending-cycle state may change
+	stack    []float64
+	last     float64
+	dir      int    // +1 rising, -1 falling, 0 before the second distinct sample
+	n        int    // raw samples seen
+	rev      uint64 // bumped whenever the pending-cycle state may change
+	stackRev uint64 // bumped whenever the residue stack (or a retired cycle) may change
 
 	// Per-call scratch, reused to keep the push and degradation-query
 	// paths allocation-free.
@@ -163,6 +164,7 @@ func (c *Counter) pushTurningPoint(p float64) {
 	}
 	c.probe[0] = p
 	c.stack = extract(c.stack, c.probe[:], c.emitFn)
+	c.stackRev++
 }
 
 func (c *Counter) emit(cy Cycle) {
@@ -194,22 +196,83 @@ func (c *Counter) AppendPending(dst []Cycle) []Cycle {
 	if c.n == 0 {
 		return dst
 	}
-	if need := len(c.stack) + 1; cap(c.pendStack) < need {
+	stack := c.pendingScratch()
+	if len(stack) == 0 || stack[len(stack)-1] != c.last {
+		stack = c.pendingExtract(stack, c.last)
+	}
+	return c.appendPendingCycles(dst, stack)
+}
+
+// foldRun folds the pending cycles of two states of a rising run into
+// sums that start from the closed aggregates: top gets the history
+// continued by the run up to v (v at or above last), and, when the
+// counter is not already rising, live gets the history as it stands.
+// Such a counter's run confirms last as a turning point with its first
+// push, so last is extracted first and the cycles that retires count
+// in both states (live sums them in AppendPending's order). From then
+// on the residue stack is frozen and v is the provisional extremum. On
+// a rising counter the history is itself a state of the run, and live
+// is left untouched. The counter state is not modified.
+func (c *Counter) foldRun(v float64, live, top *cycleSums) {
+	if c.n == 0 {
+		return
+	}
+	stack := c.pendingScratch()
+	if c.dir != +1 {
+		stack = c.pendingExtract(stack, c.last)
+		for _, cy := range c.pendOut {
+			live.add(cy)
+		}
+		live.addHalves(stack)
+	}
+	stack = c.pendingExtract(stack, v)
+	c.pendStack = stack[:0]
+	for _, cy := range c.pendOut {
+		top.add(cy)
+	}
+	top.addHalves(stack)
+}
+
+// probePops reports whether extracting the provisional extremum last on
+// top of the residue stack — AppendPending's probe — retires at least
+// one cycle. The test is extract's first comparison, operand for
+// operand, so a false answer means the pending cycles are exactly the
+// residue's adjacent half cycles followed by (top, last).
+func (c *Counter) probePops() bool {
+	n := len(c.stack)
+	if n < 2 || c.stack[n-1] == c.last {
+		return false
+	}
+	return !(abs(c.last-c.stack[n-1]) < abs(c.stack[n-1]-c.stack[n-2]))
+}
+
+// pendingScratch resets the pending-walk scratch and returns a working
+// copy of the residue stack with room for two probe points.
+func (c *Counter) pendingScratch() []float64 {
+	if need := len(c.stack) + 2; cap(c.pendStack) < need {
 		// Doubling matters: the residue stack grows one element per
 		// turning point, so an exact-fit buffer would fall short again
 		// on the very next query.
 		c.pendStack = make([]float64, 0, max(2*need, 16))
 	}
-	stack := append(c.pendStack[:0], c.stack...)
-	c.pendOut = c.pendOut[:0] // must reset either way: appended below unconditionally
-	if len(stack) == 0 || stack[len(stack)-1] != c.last {
-		if c.pendEmit == nil {
-			c.pendEmit = func(cy Cycle) { c.pendOut = append(c.pendOut, cy) }
-			c.pendOut = make([]Cycle, 0, 16)
-		}
-		c.pendProbe[0] = c.last
-		stack = extract(stack, c.pendProbe[:], c.pendEmit)
+	c.pendOut = c.pendOut[:0] // must reset either way: appended unconditionally
+	return append(c.pendStack[:0], c.stack...)
+}
+
+// pendingExtract runs one probe point through the extraction on the
+// working stack, collecting retired cycles in pendOut.
+func (c *Counter) pendingExtract(stack []float64, p float64) []float64 {
+	if c.pendEmit == nil {
+		c.pendEmit = func(cy Cycle) { c.pendOut = append(c.pendOut, cy) }
+		c.pendOut = make([]Cycle, 0, 16)
 	}
+	c.pendProbe[0] = p
+	return extract(stack, c.pendProbe[:], c.pendEmit)
+}
+
+// appendPendingCycles appends the probe-retired cycles and then the
+// working stack's adjacent pairs as half cycles, bottom first.
+func (c *Counter) appendPendingCycles(dst []Cycle, stack []float64) []Cycle {
 	c.pendStack = stack[:0]
 	halves := max(len(stack)-1, 0)
 	if need := len(dst) + len(c.pendOut) + halves; cap(dst) < need {

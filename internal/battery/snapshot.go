@@ -44,14 +44,16 @@ func (c *Counter) Snapshot() CounterSnapshot {
 }
 
 // RestoreSnapshot overwrites the counter's stream state with a snapshot,
-// keeping the OnCycle callback. The revision is bumped so any memo keyed
-// on it is invalidated; scratch buffers reset lazily on the next use.
+// keeping the OnCycle callback. Both revisions are bumped so any memo
+// keyed on them is invalidated; scratch buffers reset lazily on the next
+// use.
 func (c *Counter) RestoreSnapshot(s CounterSnapshot) {
 	c.stack = append(c.stack[:0], s.Stack...)
 	c.last = s.Last
 	c.dir = s.Dir
 	c.n = s.N
 	c.rev++
+	c.stackRev++
 }
 
 // TrackerSnapshot is the serializable state of a Tracker: the retired
@@ -74,9 +76,9 @@ type TrackerSnapshot struct {
 // Snapshot captures the tracker's serializable state.
 func (t *Tracker) Snapshot() TrackerSnapshot {
 	return TrackerSnapshot{
-		ClosedRaw:    t.closedRaw,
-		ClosedPhiSum: t.closedPhiSum,
-		ClosedWeight: t.closedWeight,
+		ClosedRaw:    t.closed.raw,
+		ClosedPhiSum: t.closed.phiSum,
+		ClosedWeight: t.closed.weight,
 		Counter:      t.counter.Snapshot(),
 	}
 }
@@ -89,9 +91,7 @@ func (t *Tracker) Snapshot() TrackerSnapshot {
 // walk re-derives everything else from the counter state.
 func RestoreTracker(model Model, tempC float64, s TrackerSnapshot) *Tracker {
 	t := NewTracker(model, tempC)
-	t.closedRaw = s.ClosedRaw
-	t.closedPhiSum = s.ClosedPhiSum
-	t.closedWeight = s.ClosedWeight
+	t.closed = cycleSums{raw: s.ClosedRaw, phiSum: s.ClosedPhiSum, weight: s.ClosedWeight}
 	t.counter.RestoreSnapshot(s.Counter)
 	return t
 }

@@ -75,8 +75,10 @@ func TestTrackerSnapshotRoundTrip(t *testing.T) {
 		}
 		final := simtime.Duration(n+1) * simtime.Day
 		requireSameBreakdown(t, "final", orig.Damage(final), restored.Damage(final))
-		if orig.DegradationCeiling(final) != restored.DegradationCeiling(final) {
-			t.Fatalf("trial %d: degradation ceiling diverged", trial)
+		for _, vmax := range []float64{0.5, 1} {
+			if !bitsEqual(orig.RunCeiling(final, vmax), restored.RunCeiling(final, vmax)) {
+				t.Fatalf("trial %d: run ceiling at vmax %v diverged", trial, vmax)
+			}
 		}
 	}
 }

@@ -14,9 +14,7 @@ type Tracker struct {
 	stress  *StressCache
 
 	// Permanently retired cycle aggregates.
-	closedRaw    float64 // sum of eta*delta*phi over retired cycles
-	closedPhiSum float64 // sum of eta*phi over retired cycles
-	closedWeight float64 // sum of eta over retired cycles
+	closed cycleSums
 
 	pend []Cycle // scratch reused across Damage queries
 
@@ -39,6 +37,45 @@ type Tracker struct {
 	aggRaw     float64
 	aggMeanPhi float64
 	aggWeight  float64
+
+	// Residue prefix: the closed aggregates plus the residue stack's
+	// adjacent half cycles, folded bottom first — the exact running sums
+	// the pending walk reaches just before its top pair whenever its
+	// probe retires nothing. Valid while the stack revision matches.
+	preValid bool
+	preRev   uint64
+	pre      cycleSums
+}
+
+// cycleSums holds the three running folds of Eq. (1)-(2) over counted
+// cycles: raw = sum of eta·delta·phi, phiSum = sum of eta·phi, weight =
+// sum of eta. Every fold goes through add, so two folds over the same
+// cycles in the same order produce the same bits.
+type cycleSums struct {
+	raw, phiSum, weight float64
+}
+
+func (s *cycleSums) add(c Cycle) {
+	s.raw += c.Count * c.Range * c.Mean
+	s.phiSum += c.Count * c.Mean
+	s.weight += c.Count
+}
+
+// addHalves folds the adjacent pairs of a residue stack as half
+// cycles, bottom first.
+func (s *cycleSums) addHalves(stack []float64) {
+	for i := 0; i+1 < len(stack); i++ {
+		s.add(newCycle(stack[i], stack[i+1], 0.5))
+	}
+}
+
+// meanPhi is the cycle-mean SoC, or rest — the resting SoC — when no
+// cycle has been counted yet.
+func (s cycleSums) meanPhi(rest float64) float64 {
+	if s.weight > 0 {
+		return s.phiSum / s.weight
+	}
+	return rest
 }
 
 // NewTracker returns a tracker using the given degradation model and a
@@ -46,14 +83,8 @@ type Tracker struct {
 // considers insulated batteries at 25 C).
 func NewTracker(model Model, tempC float64) *Tracker {
 	t := &Tracker{model: model, tempC: tempC, stress: NewStressCache(model, tempC)}
-	t.counter.OnCycle = t.onCycle
+	t.counter.OnCycle = t.closed.add
 	return t
-}
-
-func (t *Tracker) onCycle(c Cycle) {
-	t.closedRaw += c.Count * c.Range * c.Mean
-	t.closedPhiSum += c.Count * c.Mean
-	t.closedWeight += c.Count
 }
 
 // Push records the next SoC sample (fraction of original capacity).
@@ -88,23 +119,7 @@ func (t *Tracker) Damage(age simtime.Duration) Breakdown {
 	if t.memoValid && age == t.memoAge && t.counter.rev == t.memoRev {
 		return t.memoOut
 	}
-	if !t.aggValid || t.counter.rev != t.aggRev {
-		raw := t.closedRaw
-		phiSum := t.closedPhiSum
-		weight := t.closedWeight
-		t.pend = t.counter.AppendPending(t.pend[:0])
-		for _, c := range t.pend {
-			raw += c.Count * c.Range * c.Mean
-			phiSum += c.Count * c.Mean
-			weight += c.Count
-		}
-		meanPhi := t.counter.last // no cycles yet: resting SoC dominates
-		if weight > 0 {
-			meanPhi = phiSum / weight
-		}
-		t.aggValid, t.aggRev = true, t.counter.rev
-		t.aggRaw, t.aggMeanPhi, t.aggWeight = raw, meanPhi, weight
-	}
+	t.aggregate()
 	raw, meanPhi, weight := t.aggRaw, t.aggMeanPhi, t.aggWeight
 	var b Breakdown
 	b.MeanSoC = meanPhi
@@ -117,38 +132,123 @@ func (t *Tracker) Damage(age simtime.Duration) Breakdown {
 	return b
 }
 
+// aggregate refreshes the aggregate memo for the current counter
+// revision: the closed aggregates folded with every pending cycle, in
+// AppendPending's order. When the pending probe retires nothing, the
+// pending cycles are the residue's half cycles plus one top pair, so the
+// fold is the cached residue prefix plus that pair — the same additions
+// in the same order, at O(1) per query instead of O(len(stack)).
+func (t *Tracker) aggregate() {
+	c := &t.counter
+	if t.aggValid && c.rev == t.aggRev {
+		return
+	}
+	var sums cycleSums
+	if c.probePops() {
+		sums = t.closed
+		t.pend = c.AppendPending(t.pend[:0])
+		for _, cy := range t.pend {
+			sums.add(cy)
+		}
+	} else {
+		if !t.preValid || t.preRev != c.stackRev {
+			t.pre = t.closed
+			t.pre.addHalves(c.stack)
+			t.preValid, t.preRev = true, c.stackRev
+		}
+		sums = t.pre
+		if n := len(c.stack); n > 0 && c.stack[n-1] != c.last {
+			sums.add(newCycle(c.stack[n-1], c.last, 0.5))
+		}
+	}
+	t.aggValid, t.aggRev = true, c.rev
+	t.aggRaw, t.aggMeanPhi, t.aggWeight = sums.raw, sums.meanPhi(c.last), sums.weight
+}
+
 // Degradation returns the observed capacity fade after the given age.
 func (t *Tracker) Degradation(age simtime.Duration) float64 {
 	return t.Damage(age).Total
 }
 
-// DegradationCeiling returns an upper bound of Degradation(age') for
-// every age' at or before age, valid not just for the current SoC
-// history but for ANY continuation of it by a monotone run — pushes that
-// move the provisional extremum without creating a new turning point.
-// Along such a run the residue stack is frozen, so:
+// The float margin RunCeiling adds to its bound. The ceiling and every
+// Degradation value it bounds are float evaluations of the same
+// non-negative sums, exponentials and Eq. (4) transform, so they differ
+// from their real-arithmetic values by a few ulps per operation: a
+// relative error below 1e-13 on the linear degradation (at most a few
+// dozen non-negative terms, no cancellation) and an absolute error below
+// 1e-15 on the fade (Eq. 4 subtracts from 1). The margins exceed both by
+// orders of magnitude, and the absolute one also covers the rounding of
+// the stored-energy comparisons Battery.FullAcceptLimit's callers make
+// (a fade margin of 1e-12 is worth about 1e-12·theta·capacity joules of
+// headroom, thousands of ulps of the stored energy). Their price is a
+// limit about 1e-9 of capacity below the exact one.
+const (
+	runCeilingRel = 1e-9
+	runCeilingAbs = 1e-12
+)
+
+// RunCeiling returns an upper bound of Degradation(age') for every age'
+// at or before age, valid for the current SoC history and for every
+// continuation of it by a rising run — pushes of non-decreasing samples
+// — that stays at or below vmax. Samples are SoC fractions, so
+// non-negative. Battery.FullAcceptLimit uses it to prove whole charge
+// spans accept in full without per-minute degradation queries.
 //
-//   - closed cycle aggregates cannot change (cycles retire only when a
-//     turning point is pushed);
-//   - pending cycle raw (sum of eta·delta·phi) is at most len(stack):
-//     AppendPending's extraction charges at most 0.5 per stack element
-//     it consumes (a full cycle scores <= 1 and removes two elements, a
-//     residue half scores <= 0.5 and removes one), and the leftover
-//     residue pairs score <= 0.5 each — with SoC, delta, and phi all in
-//     [0,1];
-//   - the cycle-mean SoC is a weighted mean of values in [0,1], so the
-//     calendar SoC stress is at most the model's endpoint maximum;
-//   - calendar aging grows monotonically with age, so evaluating the
-//     bound at the span's end covers every earlier instant.
+// The bound evaluates the run's pending cycles with the probe at vmax.
+// A counter that is not rising first extracts last as a turning point:
+// the run's first push will confirm it, and the cycles that retires join
+// the closed aggregates. From then on the residue stack is frozen, only
+// the provisional extremum v moves, and along v the pending cycles move
+// monotonically:
 //
-// The Eq. (4) nonlinearity is monotone, so feeding it the bounded linear
-// degradation bounds the observed fade. Batteries use this to prove
-// whole charge spans accept-in-full without per-minute degradation
-// queries (see Battery.FullAcceptLimit).
-func (t *Tracker) DegradationCeiling(age simtime.Duration) float64 {
-	rawUB := t.closedRaw + float64(len(t.counter.stack))
-	calUB := t.model.K1 * age.Seconds() * t.stress.SocStressMax() * t.stress.TempStress()
-	return t.model.Nonlinear(calUB + t.stress.CycleAgingRaw(rawUB))
+//   - the top pair (s, v), with s the trough the run rises from, counts
+//     0.5·(v−s)·(v+s)/2 of raw and 0.5·(v+s)/2 of eta·phi, both
+//     increasing in v;
+//   - when v reaches the peak below s, extraction retires (peak, s) as a
+//     full cycle (or a residue half) and (s', v) becomes the top pair.
+//     At the threshold the retired cycle and the new pair are exactly
+//     the two half pairs they replace, so raw, eta·phi and eta are
+//     continuous across every pop, and eta stays constant;
+//   - hence pending raw and the cycle-mean SoC are non-decreasing in v,
+//     and the raw at vmax bounds every state of the run. The state
+//     before the first push (the live history) has the raw of the run's
+//     start, which the bound also takes.
+//
+// Calendar aging is exp(K2·(phi−K3)) times the age, monotone in both.
+// phi ranges over the live history's mean and the run's, which is
+// non-decreasing from the run's start (v = last, a zero-range top pair
+// when the counter was not rising) to its top (v = vmax), so the stress
+// is taken at the endpoint that maximizes it: the top for K2 >= 0, the
+// start for K2 < 0. Evaluating at age covers every earlier instant, and
+// Eq. (4) is monotone, so the bounded linear degradation bounds the
+// observed fade. runCeilingRel and runCeilingAbs cover float rounding.
+func (t *Tracker) RunCeiling(age simtime.Duration, vmax float64) float64 {
+	c := &t.counter
+	if c.n == 0 {
+		return 1 // no run start to anchor a bound on
+	}
+	live, top := t.closed, t.closed
+	c.foldRun(max(vmax, c.last), &live, &top)
+	var liveRaw, livePhi, startPhi float64
+	if c.dir == +1 {
+		// The history is the run's first state.
+		t.aggregate()
+		liveRaw, livePhi = t.aggRaw, t.aggMeanPhi
+		startPhi = livePhi
+	} else {
+		liveRaw, livePhi = live.raw, live.meanPhi(c.last)
+		// The run's first push just above last adds a zero-range half
+		// cycle at last: the limit its cycle-mean SoC starts from.
+		live.add(newCycle(c.last, c.last, 0.5))
+		startPhi = live.meanPhi(c.last)
+	}
+	raw := max(liveRaw, top.raw)
+	phi := max(livePhi, top.meanPhi(c.last))
+	if t.model.K2 < 0 {
+		phi = min(livePhi, startPhi)
+	}
+	linear := t.stress.CalendarAging(age, phi) + t.stress.CycleAgingRaw(raw)
+	return t.model.Nonlinear(linear*(1+runCeilingRel)) + runCeilingAbs
 }
 
 // Model returns the degradation model the tracker was built with.

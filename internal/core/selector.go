@@ -74,6 +74,9 @@ type Selector struct {
 	// utility.Value(t, n) is a pure function of (t, n), so the per-window
 	// utilities only change when the window count does.
 	muN int
+	// muTail is the first window from which mu is non-increasing to the
+	// last window, recomputed with mu.
+	muTail int
 }
 
 // NewSelector returns a selector with the given utility function and
@@ -143,6 +146,16 @@ func (s *Selector) SelectEst(stored, wu float64, forecast []float64, baseTx floa
 // A window whose cumulative energy exactly covers the estimated
 // transmission cost is feasible: the battery ends the attempt empty
 // but the transmission is funded (Algorithm 1's psi + sum E_g >= e_tx).
+//
+// The pass stops early once no later window can win. Every gamma is
+// (1 − mu[t]) plus w_u·DIF·w_b, a product of values in [0,1], so
+// gamma_t >= 1 − mu[t] (float addition of a non-negative term never
+// rounds below the other operand). From muTail on mu is non-increasing,
+// so 1 − mu[t'] >= 1 − mu[t+1] for every t' > t. Once a feasible window
+// is held and 1 − mu[t+1] >= bestG, every later gamma is at least bestG
+// and cannot replace it under the strict comparison (ties keep the
+// earlier window). A NaN gamma never wins either way, and a NaN mu fails
+// both the monotonicity check and the exit test.
 func (s *Selector) run(stored, wu float64, forecast, estTx []float64, baseTx float64, attempts []float64, maxTx float64) Decision {
 	n := len(forecast)
 	s.sizeMu(n)
@@ -165,6 +178,9 @@ func (s *Selector) run(stored, wu float64, forecast, estTx []float64, baseTx flo
 		g := (1 - s.mu[t]) + wu*d*s.weightB
 		if cum-e >= 0 && (best < 0 || g < bestG) {
 			best, bestG, bestD = t, g, d
+		}
+		if best >= 0 && t+1 >= s.muTail && t+1 < n && 1-s.mu[t+1] >= bestG {
+			break
 		}
 	}
 	if best < 0 {
@@ -191,5 +207,9 @@ func (s *Selector) sizeMu(n int) {
 			s.mu[t] = s.utility.Value(t, n)
 		}
 		s.muN = n
+		s.muTail = n - 1
+		for s.muTail > 0 && s.mu[s.muTail-1] >= s.mu[s.muTail] {
+			s.muTail--
+		}
 	}
 }

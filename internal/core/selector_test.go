@@ -358,3 +358,130 @@ func TestSelectAllocationFree(t *testing.T) {
 		t.Errorf("Select allocates %v times per run, want 0", allocs)
 	}
 }
+
+// hump is a test-only non-monotone utility: it rises to a peak a third
+// of the way through the period and falls after it, so mu is
+// non-increasing only on a suffix.
+type hump struct{}
+
+func (hump) Value(window, total int) float64 {
+	peak := float64(total) / 3
+	return 1 - math.Abs(float64(window)-peak)/float64(total)
+}
+func (hump) Name() string { return "hump" }
+
+// zigzag is a test-only utility that is non-monotone everywhere.
+type zigzag struct{}
+
+func (zigzag) Value(window, total int) float64 { return 0.5 + 0.5*math.Sin(1.7*float64(window)) }
+func (zigzag) Name() string                    { return "zigzag" }
+
+// fullScan is the reference Algorithm 1 pass: it scores every window and
+// keeps the feasible one with the smallest gamma, earliest on ties.
+func fullScan(fn utility.Function, wb, stored, wu float64, forecast []float64, baseTx float64, attempts []float64, maxTx float64) (Decision, bool) {
+	n := len(forecast)
+	mu := make([]float64, n)
+	for t := range mu {
+		mu[t] = fn.Value(t, n)
+	}
+	// exitable reports whether the early exit's condition holds before the
+	// last window, so the test can tell it is not vacuous.
+	tail := n - 1
+	for tail > 0 && mu[tail-1] >= mu[tail] {
+		tail--
+	}
+	exitable := false
+	best := -1
+	var bestG, bestD float64
+	cum := stored
+	for t := 0; t < n; t++ {
+		cum += max(0, forecast[t])
+		e := baseTx
+		if attempts != nil {
+			e = baseTx * attempts[t]
+		}
+		d := DIF(e, forecast[t], maxTx)
+		g := (1 - mu[t]) + wu*d*wb
+		if cum-e >= 0 && (best < 0 || g < bestG) {
+			best, bestG, bestD = t, g, d
+		}
+		if best >= 0 && t+1 >= tail && t+1 < n && 1-mu[t+1] >= bestG {
+			exitable = true
+		}
+	}
+	if best < 0 {
+		return Decision{}, exitable
+	}
+	return Decision{OK: true, Window: best, Objective: bestG, DIF: bestD, Utility: mu[best]}, exitable
+}
+
+// TestSelectEarlyExitMatchesFullScan: Algorithm 1's early exit must pick
+// exactly the decision a scan over every window picks, for monotone and
+// non-monotone utilities and random stored energy, w_u, w_b, forecasts
+// and attempt factors.
+func TestSelectEarlyExitMatchesFullScan(t *testing.T) {
+	// exits says whether the utility leaves room for the exit often:
+	// zigzag's mu is only non-increasing over its last window or two.
+	fns := []struct {
+		fn    utility.Function
+		exits bool
+	}{
+		{utility.Linear{}, true}, {utility.Exponential{Lambda: 1}, true}, {utility.Exponential{Lambda: 3}, true},
+		{utility.Deadline{Fraction: 0.3, Tail: 0.2}, true}, {utility.Indifferent{}, true}, {hump{}, true}, {zigzag{}, false},
+	}
+	rng := rand.New(rand.NewPCG(19, 1))
+	for _, f := range fns {
+		fn := f.fn
+		ok, exitable := 0, 0
+		const trials = 2000
+		for trial := 0; trial < trials; trial++ {
+			wb := []float64{0, 0.3, 1, rng.Float64()}[rng.IntN(4)]
+			s, err := NewSelector(fn, wb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 1 + rng.IntN(64)
+			forecast := make([]float64, n)
+			for i := range forecast {
+				switch rng.IntN(4) {
+				case 0: // night: no generation
+				case 1:
+					forecast[i] = -0.01 * rng.Float64() // clamped to 0 by the pass
+				default:
+					forecast[i] = 0.08 * rng.Float64()
+				}
+			}
+			var attempts []float64
+			if rng.IntN(2) == 0 {
+				attempts = make([]float64, n)
+				for i := range attempts {
+					attempts[i] = 1 + 3*rng.Float64()
+				}
+			}
+			stored := 0.3 * rng.Float64()
+			wu := []float64{0, 1, rng.Float64()}[rng.IntN(3)]
+			baseTx := 0.01 + 0.09*rng.Float64()
+			maxTx := 8 * baseTx
+			got, err := s.SelectEst(stored, wu, forecast, baseTx, attempts, maxTx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, ex := fullScan(fn, wb, stored, wu, forecast, baseTx, attempts, maxTx)
+			if got != want {
+				t.Fatalf("%s trial %d: SelectEst = %+v, full scan = %+v", fn.Name(), trial, got, want)
+			}
+			if got.OK {
+				ok++
+			}
+			if ex {
+				exitable++
+			}
+		}
+		if ok < trials/4 || ok == trials {
+			t.Errorf("%s: %d of %d decisions feasible; want both outcomes well covered", fn.Name(), ok, trials)
+		}
+		if f.exits && exitable < trials/10 {
+			t.Errorf("%s: early exit possible in %d of %d decisions; the test is close to vacuous", fn.Name(), exitable, trials)
+		}
+	}
+}

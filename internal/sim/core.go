@@ -143,10 +143,11 @@ func (n *Node) Integrate(to simtime.Time) {
 // battery.ChargeRun (the at-capacity run has no battery ops at all).
 // The scan is independent of the profile — a minute's balance reads
 // only the harvest trace and the constant sleep draw — so extent is
-// decided before any fold. Any Discharge disarms both spans; a full
-// accept on the real path re-arms the full-accept span and a partial
-// accept re-arms the at-capacity span, each through the end of the next
-// day. The revision guard (fastRev) catches any battery push the kernel
+// decided before any fold. Any Discharge disarms both spans. The next
+// charging minute proves the full-accept span through the end of the
+// next day before it charges, and a partial accept on the real path
+// arms the at-capacity span for as long. The revision guard (fastRev)
+// catches any battery push the kernel
 // did not make itself — a direct Discharge by fault injection, say —
 // and falls back to the real path, which re-proves before re-arming;
 // within one integrateFast call the kernel owns the battery, so the
@@ -227,7 +228,27 @@ func (n *Node) integrateFast(c *soa, i int, from, to simtime.Time) {
 				revOK = true
 				charging = whole
 			default:
-				if acc := b.Charge(next, net); acc < net {
+				skipUntil = 0
+				end := simtime.Time(dayStart+2*minutesPerDay) * minuteT
+				if next > fastUntil || !revOK {
+					// No live full-accept span: prove the charging run
+					// through the end of the next day before charging, so
+					// this minute already takes the proven path when it
+					// fits under the limit.
+					fastUntil, fastLimit = end, b.FullAcceptLimit(end)
+					armRev, revOK = b.CounterRev(), true
+					if b.Stored()+net <= fastLimit {
+						armRev = b.ChargeProven(next, net)
+						charging = whole
+						break
+					}
+				}
+				// Over the limit: the real path. Whatever it accepts
+				// continues the same rising run below theta, so the span's
+				// proof still holds and is re-keyed, not re-proven.
+				acc := b.Charge(next, net)
+				armRev = b.CounterRev()
+				if acc < net && b.ChargeNoopUntil(next, end) {
 					// At capacity (or just reached it on a partial accept).
 					// Arm the span skip through the end of the next day;
 					// ChargeNoopUntil proves every Charge at an instant
@@ -235,26 +256,7 @@ func (n *Node) integrateFast(c *soa, i int, from, to simtime.Time) {
 					// state, including the sample a partial accept just
 					// pushed. At theta = 1 the proof fails (capacity fade
 					// moves the clamp) and the per-minute path stays.
-					end := simtime.Time(dayStart+2*minutesPerDay) * minuteT
-					if b.ChargeNoopUntil(next, end) {
-						skipUntil, armRev = end, b.CounterRev()
-						revOK = true
-					} else {
-						skipUntil = 0
-					}
-					fastUntil = 0
-				} else {
-					// Full accept on the real path: try to prove the rest
-					// of the charging run through the end of the next day.
-					skipUntil = 0
-					end := simtime.Time(dayStart+2*minutesPerDay) * minuteT
-					if lim, ok := b.FullAcceptLimit(end); ok {
-						fastUntil, fastLimit, armRev = end, lim, b.CounterRev()
-						revOK = true
-						charging = whole
-					} else {
-						fastUntil = 0
-					}
+					skipUntil = end
 				}
 			}
 			if charging {
