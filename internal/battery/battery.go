@@ -32,11 +32,17 @@ type Battery struct {
 	stored   float64 // current stored energy, joules
 	tracker  *Tracker
 
-	fade    float64 // cached capacity-fade fraction in [0,1)
-	fadeAge simtime.Duration
-	fadeRev uint64 // SoC-history revision the cached fade was computed at
-
 	chargeLimit float64 // theta: max stored energy as fraction of current max capacity
+
+	// The charge spans Step and Minutes arm (zero = disarmed). Until
+	// skipUntil every Charge is proven a strict no-op; until fastUntil
+	// every Charge that keeps the stored energy at or below fastLimit is
+	// proven to accept in full. Only a push can break either proof, and
+	// every push goes through the battery's own methods: a Charge inside
+	// a span keeps its proof, and Discharge disarms both.
+	skipUntil simtime.Time
+	fastUntil simtime.Time
+	fastLimit float64
 
 	lastDir     int // +1 charging, -1 discharging
 	transitions []Transition
@@ -70,9 +76,11 @@ func New(model Model, capacityJ, initialSoC, tempC float64) (*Battery, error) {
 // SetChargeLimit sets theta: the maximum energy the battery is allowed to
 // store, as a fraction of its current maximum capacity. The paper's H-50
 // uses 0.5; plain LoRaWAN uses 1. Values are clamped to [0,1]. Any excess
-// already stored is not shed; it simply stops accepting charge.
+// already stored is not shed; it simply stops accepting charge. Both
+// charge spans were proven under the old theta, so both are disarmed.
 func (b *Battery) SetChargeLimit(theta float64) {
 	b.chargeLimit = min(1, max(0, theta))
+	b.skipUntil, b.fastUntil = 0, 0
 }
 
 // ChargeLimit returns the configured theta.
@@ -84,8 +92,7 @@ func (b *Battery) OriginalCapacity() float64 { return b.original }
 // CurrentMaxCapacity returns the degraded capacity in joules at the given
 // instant.
 func (b *Battery) CurrentMaxCapacity(now simtime.Time) float64 {
-	b.refresh(now)
-	return b.original * (1 - b.fade)
+	return b.original * (1 - b.refresh(now))
 }
 
 // Stored returns the energy currently stored, in joules.
@@ -122,6 +129,7 @@ func (b *Battery) Charge(now simtime.Time, joules float64) float64 {
 // Discharge draws up to the given energy, returning the amount actually
 // supplied (less than requested if the battery runs empty).
 func (b *Battery) Discharge(now simtime.Time, joules float64) float64 {
+	b.skipUntil, b.fastUntil = 0, 0
 	if joules <= 0 {
 		return 0
 	}
@@ -138,91 +146,163 @@ func (b *Battery) Discharge(now simtime.Time, joules float64) float64 {
 // given energy.
 func (b *Battery) CanSupply(joules float64) bool { return b.stored >= joules }
 
-// DischargeRun draws step joules per sample for count consecutive
-// samples — the node integrator's idle night span, one sample per
-// minute — leaving every observable (stored energy, SoC-trace counter
-// state, transitions, sample count) exactly as count sequential
-// Discharge(_, step) calls would. The stored-energy updates run the
-// identical one-subtraction-per-sample chain (never a summed batch,
-// which would re-associate), but once the counter is mid-run in the
-// falling direction the per-sample SoC pushes collapse via
-// Counter.ExtendRun: interior samples of a strictly decreasing run are
-// never turning points, record no transitions, and cannot flip the
-// direction, so only the final extremum matters.
-//
-// now is the instant of the run's first sample. It is only ever used
-// for transition timestamps, and a run can record at most one
-// transition — at its first supplying sample, before the fast path
-// engages — so the single instant reproduces the per-call path's
-// timestamps exactly.
-func (b *Battery) DischargeRun(now simtime.Time, step float64, count int) {
-	for count > 0 {
-		c := &b.tracker.counter
-		if c.dir == -1 && b.lastDir == -1 && b.stored > 0 && step > 0 {
-			// Mid-run: every further supplying sample strictly lowers the
-			// SoC (the stored-energy chain is strictly decreasing and
-			// division by the positive capacity is monotone), continuing
-			// the falling run until the battery empties; samples after
-			// that supply nothing and push nothing.
-			k := 0
-			for i := 0; i < count; i++ {
-				supplied := min(step, b.stored)
-				if supplied <= 0 {
-					break
-				}
-				b.stored -= supplied
-				k++
-			}
-			c.ExtendRun(b.soc(), k)
-			return
-		}
-		// First sample (or an empty/degenerate battery): the full path
-		// handles direction flips, transition recording, and run
-		// establishment. At most one supplying sample lands here — it
-		// leaves both direction markers falling — so the loop re-tests
-		// the fast path immediately after.
-		b.Discharge(now, step)
-		count--
+// Step applies the part of a minute that ends at now, whose energy
+// balance (harvest less draw) is net joules: exactly what Charge(now,
+// net) or Discharge(now, -net) would do, with the charge spans Minutes
+// describes. Calls to Step and Minutes come in non-decreasing time
+// order and end after time 0.
+func (b *Battery) Step(now simtime.Time, net float64) {
+	switch {
+	case net < 0:
+		b.Discharge(now, -net)
+	case net > 0 && now > b.skipUntil:
+		b.charge(now, net)
 	}
 }
 
-// ChargeRun commits a run of consecutive full-accept charging samples in
-// one step: storedJ is the stored energy after the run and k is the
-// number of samples, leaving every observable (stored energy, SoC-trace
-// counter state, transitions, sample count) exactly as k sequential
-// full-accepting Charge calls would. The caller — the node integrator's
-// slot-level charging span — owns the preconditions:
+// Minutes applies len(powW) whole minutes: minute k ends at first +
+// k·minute and its energy balance is powW[k]*60.0 − baseJ, less extraJ
+// in minute 0. Every observable — stored energy, SoC-trace counter
+// state, transitions, sample count and every later degradation query —
+// ends exactly as per-minute Charge(end, net) calls for net >= 0 and
+// Discharge(end, −net) calls for net < 0 would leave it, while most
+// minutes skip the degradation query and the SoC push those calls make:
 //
-//   - the counter is mid-run in the rising direction (a prior accepted
-//     Charge/ChargeProven at this instant's revision established it);
-//   - storedJ is the result of the identical one-addition-per-sample
-//     chain stored += net_i starting from the current stored energy,
-//     with every net_i > 0 (so the chain is non-decreasing — float
-//     addition of a positive term never decreases — and every interior
-//     SoC lies between the current extremum and the final one, ordered
-//     in the established direction with equal neighbours permitted,
-//     exactly ExtendRun's contract);
-//   - every prefix of the chain stays at or below a live
-//     FullAcceptLimit, so none of the replaced Charge calls would have
-//     clamped or partially accepted.
+//   - a charging minute inside the at-capacity span (skipUntil) does
+//     nothing, which is what the rejected Charge would do;
+//   - a charging minute inside the full-accept span (fastUntil,
+//     fastLimit) adds net and pushes its SoC, which is what the
+//     full-accepting Charge would do, minus its degradation query;
+//   - a run of such minutes after one that left the counter rising, or
+//     a run of discharging minutes after one that left it falling,
+//     collapses to one Counter.ExtendRun: the stored-energy chain is the
+//     identical one operation per minute (never a summed batch, which
+//     would re-associate), every step is positive, so the interior SoC
+//     samples of the run are non-decreasing (or non-increasing) — never
+//     turning points, never transitions — and only the final one
+//     matters. A discharge run goes on through minutes on an empty
+//     battery, which supply nothing and push nothing.
 //
-// Interior samples of a non-decreasing run are never turning points,
-// record no transitions, and cannot flip the direction, so only the
-// final extremum matters; the collapsed pushes are Counter.ExtendRun's
-// exact contract. Like ChargeProven, the skipped refresh mutates only
-// the pure fade cache, which any later reader recomputes identically.
-// ChargeRun does not re-check the chain; it returns the SoC-history
-// revision after the commit (and commits nothing when the direction
-// preconditions do not hold — the caller falls back to the per-minute
-// path on a false second result).
-func (b *Battery) ChargeRun(storedJ float64, k int) (uint64, bool) {
+// The first charging minute past the full-accept span proves a new one
+// through the end of the next day before it charges (see charge), and a
+// Charge that then falls short of net arms the at-capacity span for as
+// long when it can prove it. The preconditions are Step's.
+func (b *Battery) Minutes(first simtime.Time, powW []float64, baseJ, extraJ float64) {
+	const minuteT = simtime.Time(simtime.Minute)
 	c := &b.tracker.counter
-	if c.dir != +1 || b.lastDir != +1 {
-		return c.rev, false
+	for k := 0; k < len(powW); {
+		now := first + simtime.Time(k)*minuteT
+		net := powW[k]*60.0 - baseJ
+		if k == 0 {
+			net -= extraJ
+		}
+		k++
+		switch {
+		case net > 0 && now <= b.skipUntil:
+			// At capacity: the Charge would reject without mutating.
+		case net > 0:
+			if !b.charge(now, net) || c.dir != +1 || b.lastDir != +1 {
+				continue
+			}
+			stored, pushes := b.stored, 0
+			for ; k < len(powW); k++ {
+				net := powW[k]*60.0 - baseJ
+				if net <= 0 || first+simtime.Time(k)*minuteT > b.fastUntil || stored+net > b.fastLimit {
+					break
+				}
+				stored += net
+				pushes++
+			}
+			b.stored = stored
+			c.ExtendRun(b.soc(), pushes)
+		case net < 0:
+			b.Discharge(now, -net)
+			if c.dir != -1 || b.lastDir != -1 {
+				continue
+			}
+			stored, pushes := b.stored, 0
+			for ; k < len(powW); k++ {
+				net := powW[k]*60.0 - baseJ
+				if net >= 0 {
+					break
+				}
+				if supplied := min(-net, stored); supplied > 0 {
+					stored -= supplied
+					pushes++
+				}
+			}
+			b.stored = stored
+			c.ExtendRun(b.soc(), pushes)
+		}
 	}
-	b.stored = storedJ
-	c.ExtendRun(b.soc(), k)
-	return c.rev, true
+}
+
+// charge applies a charging step of net > 0 joules ending at now, past
+// the at-capacity span, and reports whether it took the proven path (a
+// full accept without the degradation query, whose SoC push the caller
+// may continue with a collapsed run).
+//
+// A step past the full-accept span first proves a new one through end,
+// the end of the day after now's: until then every charge pushes a
+// non-decreasing SoC no higher than theta — a rising run, whether or
+// not the battery was charging when the proof was made — so
+// Tracker.RunCeiling(end, theta) bounds the fade at every instant t <=
+// end, before the run's first push and after any of its pushes. With
+// stored+net <= fastLimit = theta·original·(1−ceiling), refresh(t)
+// cannot clamp (stored <= original·(1−fade(t))) and Headroom(t) =
+// theta·original·(1−fade(t)) − stored >= net, so the Charge would
+// accept net exactly (the ceiling's absolute margin keeps this true
+// after rounding). A Charge inside the span, full or partial, continues
+// the same rising run at or below theta, so the proof survives it; a
+// Discharge ends the run and disarms the span.
+//
+// A step over the limit runs the real Charge. When that falls short of
+// net the battery is at its cap, and the at-capacity span is armed
+// through end if every Charge at an instant in [now, end] is a strict
+// no-op — zero headroom and no capacity clamp — for the SoC history as
+// it stands. Both halves of that proof rest on the fade being
+// non-decreasing in age for a fixed history (calendar aging is monotone
+// in time and cycle aging is constant while nothing is pushed):
+//
+//   - headroom stays zero: the smallest fade in the span is the one at
+//     now, so theta·original·(1−fade(now)) bounds the limit at every
+//     later instant; if even that bound does not exceed stored,
+//     headroom is zero everywhere;
+//   - no clamp: refresh clamps stored to original·(1−fade(t)), and the
+//     tightest clamp is at end, so checking stored against the capacity
+//     at end covers every earlier instant.
+//
+// The fade at now is queried after the partial accept's push, which can
+// lower the cycle-mean SoC and with it the fade. Only a push can break
+// the proof: a Charge inside the span cannot push (its headroom is
+// zero), and a Discharge disarms the span. At theta = 1 the proof fails
+// (capacity fade moves the clamp) and every charging minute at the cap
+// runs the real Charge.
+func (b *Battery) charge(now simtime.Time, net float64) bool {
+	if now > b.fastUntil {
+		b.fastUntil = spanEnd(now)
+		b.fastLimit = b.chargeLimit * b.original * (1 - b.tracker.RunCeiling(simtime.Duration(b.fastUntil), b.chargeLimit))
+	}
+	if b.stored+net <= b.fastLimit {
+		b.stored += net
+		b.record(now, +1)
+		return true
+	}
+	if b.Charge(now, net) < net {
+		end := spanEnd(now)
+		if b.chargeLimit*(b.original*(1-b.tracker.Degradation(simtime.Duration(now)))) <= b.stored &&
+			b.stored <= b.original*(1-b.tracker.Degradation(simtime.Duration(end))) {
+			b.skipUntil = end
+		}
+	}
+	return false
+}
+
+// spanEnd is the end of the day after the one the step ending at now
+// (now > 0) falls in: how long a charge span proven at now lasts.
+func spanEnd(now simtime.Time) simtime.Time {
+	const day = simtime.Time(simtime.Day)
+	return ((now-1)/day + 2) * day
 }
 
 // record pushes the post-operation SoC into the ground-truth tracker and
@@ -256,118 +336,23 @@ func (b *Battery) AppendTransitions(dst []Transition) []Transition {
 	return dst
 }
 
-// ChargeNoopUntil reports whether, with the battery otherwise untouched,
-// every Charge call at an instant in (now, end] would be a strict no-op:
-// zero headroom throughout the span and no capacity clamp moving the
-// stored energy. The node integrator uses this to skip the per-minute
-// Charge calls of an at-capacity span entirely — bit-identical, because
-// a rejected Charge mutates nothing but the pure fade cache.
-//
-// The proof obligations, both resting on fade being non-decreasing in
-// age for a FIXED SoC history (calendar aging is monotone in time and
-// cycle aging is constant while nothing is pushed):
-//
-//   - Headroom stays zero: with the history frozen, the smallest fade
-//     in the span is the one at now, so chargeLimit·original·(1−fade(now))
-//     bounds the true limit at every later instant. If even that bound
-//     does not exceed stored, headroom is zero everywhere. The fade must
-//     come from the live tracker, not the battery's cache: arming right
-//     after a partial accept means that Charge pushed a sample AFTER the
-//     cache was last refreshed, and the new sample can lower the
-//     cycle-mean SoC — and with it the fade — at the next minute.
-//   - No clamp: refresh clamps stored to original·(1−fade(t)); the
-//     tightest clamp in the span is at end, so checking stored against
-//     the end-of-span capacity covers every earlier instant. The queries
-//     go through the tracker directly — a pure memoized function — so
-//     the battery's own fade cache is left exactly as the skipped
-//     per-minute path would leave it for any later reader (refresh
-//     recomputes from the tracker whenever a newer age is queried).
-//
-// Any push invalidates the answer — a Discharge, a Charge that accepts
-// energy, or any out-of-band sample; callers must watch CounterRev and
-// re-query when it moves.
-func (b *Battery) ChargeNoopUntil(now, end simtime.Time) bool {
-	if b.chargeLimit*(b.original*(1-b.tracker.Degradation(simtime.Duration(now)))) > b.stored {
-		return false
-	}
-	return b.stored <= b.original*(1-b.tracker.Degradation(simtime.Duration(end)))
-}
-
-// FullAcceptLimit returns a stored-energy level L (joules) such that,
-// until end, any sequence of positive Charge calls that keeps the
-// stored energy at or below L is guaranteed to be accepted in full with
-// no capacity clamp — so each such Charge may be replaced by
-// ChargeProven, skipping the per-minute degradation query entirely. At
-// or near capacity L may lie at or below the stored energy: no charge
-// is then proven.
-//
-// The proof: every charge in the span pushes a non-decreasing SoC no
-// higher than theta — a rising run, whether or not the battery was
-// charging when the proof was made — so Tracker.RunCeiling(end, theta)
-// bounds the fade at every instant t <= end, both before the run's first
-// push and after any of its pushes. With stored+joules <= L =
-// theta·original·(1−ceiling):
-//
-//   - refresh(t) cannot clamp: stored <= L <= original·(1−fade(t));
-//   - Headroom(t) = theta·original·(1−fade(t)) − stored >= joules, so
-//     accepted == joules exactly (the ceiling's absolute margin keeps
-//     this true after rounding);
-//   - the skipped refresh mutates only the pure fade cache, which is
-//     keyed on (age, CounterRev), so any later reader recomputes it.
-//
-// The guarantee is conditional on the battery's SoC history not gaining
-// a turning point mid-span; callers must watch CounterRev and fall back
-// to plain Charge when it moves unexpectedly (any Discharge, or any
-// push outside the proven calls). A plain Charge inside the span, full
-// or partial, continues the same rising run at or below theta, so the
-// proof survives it.
-func (b *Battery) FullAcceptLimit(end simtime.Time) float64 {
-	return b.chargeLimit * b.original * (1 - b.tracker.RunCeiling(simtime.Duration(end), b.chargeLimit))
-}
-
-// ChargeProven charges joules whose full acceptance a prior
-// FullAcceptLimit proof guarantees, skipping the degradation refresh a
-// plain Charge would run. It returns the SoC-history revision after the
-// push so the caller can detect interleaved battery activity. joules
-// must be positive and stored+joules must not exceed the proven limit;
-// ChargeProven does not re-check.
-func (b *Battery) ChargeProven(now simtime.Time, joules float64) uint64 {
-	b.stored += joules
-	b.record(now, +1)
-	return b.tracker.counter.rev
-}
-
-// CounterRev returns the battery's SoC-history revision: it moves on
-// every sample that may change pending cycles. FullAcceptLimit spans
-// are valid only while the revision matches the proven sequence.
-func (b *Battery) CounterRev() uint64 { return b.tracker.counter.rev }
-
 // PendingTransitions returns how many transitions await reporting.
 func (b *Battery) PendingTransitions() int { return len(b.transitions) }
 
-// refresh recomputes the cached capacity fade unless it was computed
-// at this very age and SoC history, clamping stored energy to the
-// shrunken capacity. Keying on the history revision as well as the age
-// matters when a push lands at the instant of the last refresh: a read
-// at that instant must see the post-push fade.
-func (b *Battery) refresh(now simtime.Time) {
-	age := simtime.Duration(now)
-	rev := b.tracker.counter.rev
-	if age == b.fadeAge && rev == b.fadeRev {
-		return
-	}
-	b.fade = b.tracker.Degradation(age)
-	b.fadeAge, b.fadeRev = age, rev
-	if maxCap := b.original * (1 - b.fade); b.stored > maxCap {
+// refresh returns the capacity fade at now, clamping the stored energy
+// to the shrunken capacity. The tracker memoizes the query on the exact
+// age and SoC-history revision, so a read at the instant of a push sees
+// the post-push fade.
+func (b *Battery) refresh(now simtime.Time) float64 {
+	fade := b.tracker.Degradation(simtime.Duration(now))
+	if maxCap := b.original * (1 - fade); b.stored > maxCap {
 		b.stored = maxCap
 	}
+	return fade
 }
 
 // Degradation returns the ground-truth capacity fade at the given instant.
-func (b *Battery) Degradation(now simtime.Time) float64 {
-	b.refresh(now)
-	return b.fade
-}
+func (b *Battery) Degradation(now simtime.Time) float64 { return b.refresh(now) }
 
 // Damage returns the full ground-truth degradation breakdown.
 func (b *Battery) Damage(now simtime.Time) Breakdown {

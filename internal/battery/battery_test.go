@@ -230,15 +230,18 @@ func TestTrackerMeanSoCFallback(t *testing.T) {
 	}
 }
 
-// TestDischargeRunMatchesSequentialDischarges pins the collapsed run
-// path bit-for-bit against count sequential Discharge calls across
-// randomized mixed histories: every observable — stored energy, sample
-// count, transitions, and all later degradation queries — must match
-// exactly, including runs that empty the battery mid-way, runs entered
-// right after a charge (direction flip at the first sample), and runs
-// on a battery that never moved (no established direction).
+// TestDischargeRunMatchesSequentialDischarges pins Minutes' collapsed
+// falling run bit-for-bit against count sequential Discharge calls
+// across randomized mixed histories: every observable — stored energy,
+// sample count, transitions, and all later degradation queries — must
+// match exactly, including runs that empty the battery mid-way, runs
+// entered right after a charge (direction flip at the first sample), and
+// runs on a battery that never moved (no established direction). A run
+// of dark minutes is count minutes at zero power with the step as the
+// per-minute draw.
 func TestDischargeRunMatchesSequentialDischarges(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xd15c, 0x4a11))
+	collapsed := 0
 	for trial := 0; trial < 200; trial++ {
 		cap := 50 + rng.Float64()*100
 		soc := rng.Float64()
@@ -261,10 +264,14 @@ func TestDischargeRunMatchesSequentialDischarges(t *testing.T) {
 
 		step := []float64{0.05, 1.5, cap}[rng.IntN(3)] // tiny, typical, instantly-emptying
 		count := 1 + rng.IntN(900)
+		refRev, runRev := ref.tracker.counter.rev, run.tracker.counter.rev
 		for i := 0; i < count; i++ {
 			ref.Discharge(now+simtime.Time(int64(i)*int64(simtime.Minute)), step)
 		}
-		run.DischargeRun(now, step, count)
+		run.Minutes(now, make([]float64, count), step, 0)
+		if run.tracker.counter.rev-runRev < ref.tracker.counter.rev-refRev {
+			collapsed++
+		}
 
 		if ref.Stored() != run.Stored() {
 			t.Fatalf("trial %d: stored %v != %v", trial, ref.Stored(), run.Stored())
@@ -293,8 +300,15 @@ func TestDischargeRunMatchesSequentialDischarges(t *testing.T) {
 			t.Fatalf("trial %d: post-flip damage %+v != %+v", trial, refD, runD)
 		}
 	}
+	if collapsed < 50 {
+		t.Fatalf("only %d of 200 trials collapsed a falling run", collapsed)
+	}
 }
 
+// TestChargeRunMatchesSequentialCharges pins Minutes' collapsed
+// charging run — the full-accept span proven by its first minute —
+// bit-for-bit against one Charge per minute, and requires every trial
+// to collapse.
 func TestChargeRunMatchesSequentialCharges(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xc4a6, 0x2f01))
 	for trial := 0; trial < 200; trial++ {
@@ -304,31 +318,26 @@ func TestChargeRunMatchesSequentialCharges(t *testing.T) {
 		run := newTestBattery(t, cap, soc)
 		now := simtime.Time(simtime.Hour)
 
-		// Establish the rising run ChargeRun requires: two accepted
-		// charges set both the counter direction and the battery's last
-		// direction to +1, exactly how the node integrator arms a span.
+		// Establish a rising run, as a daytime node's battery has one.
 		for i := 0; i < 2; i++ {
 			ref.Charge(now, 1.5)
 			run.Charge(now, 1.5)
 			now += simtime.Time(simtime.Minute)
 		}
 
-		count := 1 + rng.IntN(600)
-		nets := make([]float64, count)
-		for i := range nets {
-			nets[i] = 0.01 + rng.Float64()*0.05 // tiny vs headroom: all full-accept
+		count := 3 + rng.IntN(600)
+		const baseJ = 0.005
+		pows := make([]float64, count)
+		for i := range pows {
+			pows[i] = (0.015 + rng.Float64()*0.05) / 60 // tiny vs headroom: all full-accept
 		}
-		// The caller's chain: one addition per sample, in order — the
-		// same float operation sequence the sequential Charges perform.
-		stored := run.Stored()
-		for _, n := range nets {
-			stored += n
+		refRev, runRev := ref.tracker.counter.rev, run.tracker.counter.rev
+		for i, p := range pows {
+			ref.Charge(now+simtime.Time(int64(i)*int64(simtime.Minute)), p*60.0-baseJ)
 		}
-		for i, n := range nets {
-			ref.Charge(now+simtime.Time(int64(i)*int64(simtime.Minute)), n)
-		}
-		if _, ok := run.ChargeRun(stored, count); !ok {
-			t.Fatalf("trial %d: ChargeRun refused an armed rising run", trial)
+		run.Minutes(now, pows, baseJ, 0)
+		if run.tracker.counter.rev-runRev >= ref.tracker.counter.rev-refRev {
+			t.Fatalf("trial %d: no charging minute collapsed", trial)
 		}
 
 		if ref.Stored() != run.Stored() {
@@ -347,8 +356,9 @@ func TestChargeRunMatchesSequentialCharges(t *testing.T) {
 		// The collapsed run must leave the counter mid-run exactly like
 		// the sequential path: a direction flip afterwards still agrees,
 		// including the transition it reports.
-		ref.Discharge(now, 3)
-		run.Discharge(now, 3)
+		end := now + simtime.Time(int64(count)*int64(simtime.Minute))
+		ref.Discharge(end, 3)
+		run.Discharge(end, 3)
 		refTr, runTr := ref.AppendTransitions(nil), run.AppendTransitions(nil)
 		if len(refTr) != 1 || len(runTr) != 1 || refTr[0] != runTr[0] {
 			t.Fatalf("trial %d: post-flip transitions %v != %v", trial, refTr, runTr)
@@ -359,21 +369,81 @@ func TestChargeRunMatchesSequentialCharges(t *testing.T) {
 	}
 }
 
+// TestChargeRunRefusesWrongDirection: Minutes collapses a charging run
+// only once a proven sample has left the counter rising. On a fresh
+// battery (no direction) the first sample establishes the direction,
+// and on a falling run it is a turning point that records a transition.
+// A first step too small to move the stored energy pushes an equal
+// sample: it records the transition but leaves the counter falling, so
+// the turning point comes with the next minute, which must not be
+// collapsed either. Every case must match one Charge per minute, and
+// the minutes after the turning point collapse.
 func TestChargeRunRefusesWrongDirection(t *testing.T) {
-	b := newTestBattery(t, 100, 0.5)
+	for _, c := range []struct {
+		name             string
+		falling          bool
+		first            float64
+		runRevs, seqRevs uint64
+	}{
+		{"fresh", false, 0.02, 2, 4},
+		{"falling", true, 0.02, 2, 4},
+		{"falling, equal first sample", true, 1e-22, 2, 3},
+	} {
+		ref := newTestBattery(t, 100, 0.5)
+		run := newTestBattery(t, 100, 0.5)
+		now := simtime.Time(simtime.Hour)
+		if c.falling {
+			for _, b := range []*Battery{ref, run} {
+				b.Charge(now, 2)
+				b.Discharge(now, 5)
+				b.AppendTransitions(nil)
+			}
+		}
+		pows := []float64{c.first, 0.03, 0.03, 0.05}
+		refRev, runRev := ref.tracker.counter.rev, run.tracker.counter.rev
+		for k, p := range pows {
+			ref.Charge(now+simtime.Time(k+1)*minuteT, p*60.0)
+		}
+		run.Minutes(now+minuteT, pows, 0, 0)
+		requireTwins(t, 0, ref, run)
+		if got, want := run.tracker.counter.rev-runRev, ref.tracker.counter.rev-refRev; got != c.runRevs || want != c.seqRevs {
+			t.Fatalf("%s: %d revisions for the run, per-minute %d; want %d and %d", c.name, got, want, c.runRevs, c.seqRevs)
+		}
+		if tr := run.AppendTransitions(nil); c.falling != (len(tr) == 1) || c.falling && tr[0].At != now+minuteT {
+			t.Fatalf("%s: transitions %v", c.name, tr)
+		}
+	}
+}
+
+// TestDischargeRunRefusesWrongDirection is the falling mirror of the
+// equal-sample case: a first draw too small to move the stored energy
+// records the transition but leaves the counter rising, so the next
+// minute is the turning point and must not be collapsed.
+func TestDischargeRunRefusesWrongDirection(t *testing.T) {
+	ref := newTestBattery(t, 1000, 0.5)
+	run := newTestBattery(t, 1000, 0.5)
 	now := simtime.Time(simtime.Hour)
-	// Fresh battery: no established direction yet.
-	if _, ok := b.ChargeRun(60, 3); ok {
-		t.Fatal("ChargeRun committed with no established direction")
+	for _, b := range []*Battery{ref, run} {
+		b.Charge(now, 2)
+		b.AppendTransitions(nil)
 	}
-	b.Charge(now, 2)
-	b.Discharge(now, 5) // falling run
-	before := b.Stored()
-	samples := b.tracker.Samples()
-	if _, ok := b.ChargeRun(before+1, 1); ok {
-		t.Fatal("ChargeRun committed against a falling run")
+	// Minute 0 nets 0.5·60 − 30 − 1e-20 = −1e-20 J, the rest −30 J.
+	pows := []float64{0.5, 0, 0, 0}
+	const baseJ, extraJ = 30, 1e-20
+	refRev, runRev := ref.tracker.counter.rev, run.tracker.counter.rev
+	for k, p := range pows {
+		net := p*60.0 - baseJ
+		if k == 0 {
+			net -= extraJ
+		}
+		ref.Discharge(now+simtime.Time(k+1)*minuteT, -net)
 	}
-	if b.Stored() != before || b.tracker.Samples() != samples {
-		t.Fatal("refused ChargeRun mutated the battery")
+	run.Minutes(now+minuteT, pows, baseJ, extraJ)
+	requireTwins(t, 0, ref, run)
+	if got, want := run.tracker.counter.rev-runRev, ref.tracker.counter.rev-refRev; got != 2 || want != 3 {
+		t.Fatalf("%d revisions for the run, per-minute %d; want 2 and 3", got, want)
+	}
+	if tr := run.AppendTransitions(nil); len(tr) != 1 || tr[0].At != now+minuteT {
+		t.Fatalf("transitions %v, want one at the first minute", tr)
 	}
 }

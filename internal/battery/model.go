@@ -5,6 +5,12 @@
 // Battery state machine used by the simulator and testbed, and the
 // compressed state-of-charge trace encoding that nodes piggy-back on data
 // packets (Sec. III-B of the paper).
+//
+// A Battery enforces theta and accounts its own degradation, and it
+// alone decides when a minute may skip that accounting: Battery.Minutes
+// and Battery.Step apply a node's energy balance minute by minute with
+// the charge spans and monotone-run collapses they prove, leaving every
+// observable exactly as one Charge or Discharge per minute would.
 package battery
 
 import (

@@ -122,11 +122,6 @@ func (c *Counter) Push(v float64) {
 	c.rev++
 }
 
-// Revision returns a counter that changes whenever the pending-cycle
-// state (and therefore any Damage query derived from it) may have
-// changed. It lets callers memoize results on exact inputs.
-func (c *Counter) Revision() uint64 { return c.rev }
-
 // ExtendRun collapses k consecutive Push calls that provably continue
 // the current monotone run: every collapsed sample lies between the
 // current provisional extremum and v, ordered in the established
@@ -136,8 +131,7 @@ func (c *Counter) Revision() uint64 { return c.rev }
 // sample count by k, and the revision bumps when the extremum moved.
 // The caller owns the precondition: the run must not reverse or
 // establish a direction (c.dir != 0 and sign(v-last) is c.dir or 0).
-// Battery.DischargeRun and Battery.ChargeRun are the only intended
-// users.
+// Battery.Minutes is the only intended user.
 func (c *Counter) ExtendRun(v float64, k int) {
 	if k <= 0 {
 		return

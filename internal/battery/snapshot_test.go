@@ -144,7 +144,7 @@ func TestCounterSnapshotIsolated(t *testing.T) {
 
 // TestTrackerSnapshotAfterSpanRuns extends the round-trip proof to
 // span-integrated histories: the SoC trace is produced by the collapsed
-// DischargeRun/ChargeRun primitives (the slot-level kernel's path), the
+// runs of Battery.Minutes (the node integrator's path), the
 // tracker is snapshotted mid-run, serialized, restored, and both sides
 // then continue through more spans. Every Damage query must stay
 // bit-identical — the counter state ExtendRun leaves behind (run length,
@@ -162,29 +162,24 @@ func TestTrackerSnapshotAfterSpanRuns(t *testing.T) {
 		orig := build()
 		now := simtime.Time(simtime.Hour)
 
-		// spans drives one battery through alternating collapsed runs:
-		// a rising span via ChargeRun (armed by one real Charge, like
-		// the kernel) and a falling span via DischargeRun.
+		// spans drives one battery through alternating collapsed runs of
+		// Minutes: a rising span (armed by one real Charge) and a falling
+		// span of dark minutes.
 		spans := func(b *Battery, phases int) {
 			at := now
 			for p := 0; p < phases; p++ {
+				k := 5 + rng.IntN(200)
+				pows := make([]float64, k)
 				if p%2 == 0 {
 					b.Charge(at, 0.5) // arm the rising run
-					at += simtime.Time(simtime.Minute)
-					k := 5 + rng.IntN(200)
-					stored := b.Stored()
-					for i := 0; i < k; i++ {
-						stored += 0.02
+					for i := range pows {
+						pows[i] = 0.02 / 60
 					}
-					if _, ok := b.ChargeRun(stored, k); !ok {
-						t.Fatal("ChargeRun refused mid-test")
-					}
-					at += simtime.Time(int64(k) * int64(simtime.Minute))
+					b.Minutes(at+minuteT, pows, 0, 0)
 				} else {
-					k := 5 + rng.IntN(200)
-					b.DischargeRun(at, 0.03, k)
-					at += simtime.Time(int64(k) * int64(simtime.Minute))
+					b.Minutes(at+minuteT, pows, 0.03, 0)
 				}
+				at += simtime.Time(int64(k+1) * int64(simtime.Minute))
 			}
 		}
 

@@ -178,7 +178,7 @@ func (t *Tracker) Degradation(age simtime.Duration) float64 {
 // dozen non-negative terms, no cancellation) and an absolute error below
 // 1e-15 on the fade (Eq. 4 subtracts from 1). The margins exceed both by
 // orders of magnitude, and the absolute one also covers the rounding of
-// the stored-energy comparisons Battery.FullAcceptLimit's callers make
+// the stored-energy comparisons Battery's full-accept span makes
 // (a fade margin of 1e-12 is worth about 1e-12·theta·capacity joules of
 // headroom, thousands of ulps of the stored energy). Their price is a
 // limit about 1e-9 of capacity below the exact one.
@@ -191,8 +191,8 @@ const (
 // at or before age, valid for the current SoC history and for every
 // continuation of it by a rising run — pushes of non-decreasing samples
 // — that stays at or below vmax. Samples are SoC fractions, so
-// non-negative. Battery.FullAcceptLimit uses it to prove whole charge
-// spans accept in full without per-minute degradation queries.
+// non-negative. Battery.Minutes uses it to prove whole charge spans
+// accept in full without per-minute degradation queries.
 //
 // The bound evaluates the run's pending cycles with the probe at vmax.
 // A counter that is not rising first extracts last as a turning point:

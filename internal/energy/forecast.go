@@ -1,7 +1,6 @@
 package energy
 
 import (
-	"math"
 	"math/rand/v2"
 	"sync"
 
@@ -226,16 +225,6 @@ func (f *DiurnalEWMA) FoldFullSlots(slot int, pows []float64) {
 		}
 		f.profile[s] = a*power + (1-a)*f.profile[s]
 	}
-}
-
-// SlotZeroNoop reports whether a zero-energy full-slot observation
-// would leave the slot bit-identical: the slot is seen and holds +0, so
-// the fold writes alpha·(+0) + (1-alpha)·(+0) = +0 back. (A -0 profile
-// value — impossible from non-negative harvests, but checked anyway —
-// would flip sign bits and must take the real fold.) The integrator
-// uses this to collapse idle night spans without touching the profile.
-func (f *DiurnalEWMA) SlotZeroNoop(slot int) bool {
-	return f.seen[slot] && f.profile[slot] == 0 && !math.Signbit(f.profile[slot])
 }
 
 // ForecastWindows implements Forecaster. Consecutive windows are walked

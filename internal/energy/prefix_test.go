@@ -39,10 +39,9 @@ func oracleEnergy(s *nodeSource, from, to simtime.Time) float64 {
 }
 
 // TestEnergyPrefixMatchesMinuteOracle drives randomized interval queries
-// against the per-minute oracle. Spans shorter than prefixSpanMinutes
-// must be bit-identical (they take the sequential path, which reproduces
-// the oracle fold term for term); longer spans may use the O(1) prefix
-// difference and are allowed last-ulp drift only.
+// against the per-minute oracle: every span, from a fraction of a minute
+// to three days, must be bit-identical, since Energy sums the cached
+// per-minute energies in the oracle's order.
 func TestEnergyPrefixMatchesMinuteOracle(t *testing.T) {
 	yt := newTestTrace(t, 77)
 	for _, variation := range []float64{0, 0.25} {
@@ -57,51 +56,17 @@ func TestEnergyPrefixMatchesMinuteOracle(t *testing.T) {
 			startMs := rng.Int64N(horizonMs)
 			var spanMs int64
 			if i%2 == 0 {
-				spanMs = 1 + rng.Int64N(int64(prefixSpanMinutes)*msPerMinute-1)
+				spanMs = 1 + rng.Int64N(16*msPerMinute-1)
 			} else {
 				spanMs = 1 + rng.Int64N(3*minutesPerDay*msPerMinute)
 			}
 			from := simtime.Time(startMs * int64(simtime.Millisecond))
 			to := from + simtime.Time(spanMs*int64(simtime.Millisecond))
-			got := src.Energy(from, to)
-			want := oracleEnergy(src, from, to)
-			if spanMs < int64(prefixSpanMinutes)*msPerMinute {
-				if got != want {
-					t.Fatalf("variation %v short span [%d, %d): Energy = %v, oracle = %v (must be bit-identical)",
-						variation, from, to, got, want)
-				}
-				continue
-			}
-			if diff := math.Abs(got - want); diff > 1e-6+1e-9*math.Abs(want) {
-				t.Fatalf("variation %v long span [%d, %d): Energy = %v, oracle = %v (diff %g)",
-					variation, from, to, got, want, diff)
+			if got, want := src.Energy(from, to), oracleEnergy(src, from, to); got != want {
+				t.Fatalf("variation %v span [%d, %d): Energy = %v, oracle = %v (must be bit-identical)",
+					variation, from, to, got, want)
 			}
 		}
-	}
-}
-
-// TestEnergyPrefixLazy: the running-sum table is only materialized by a
-// query that actually spans prefixSpanMinutes whole minutes — priming
-// and per-minute integration never pay for it.
-func TestEnergyPrefixLazy(t *testing.T) {
-	yt := newTestTrace(t, 5)
-	src := yt.NodeSource(1, 0.09, 0.25).(*nodeSource)
-	const minuteT = simtime.Time(simtime.Minute)
-
-	for m := int64(0); m < 2*minutesPerDay; m++ {
-		src.MinutePower(m)
-	}
-	src.Energy(0, simtime.Time(prefixSpanMinutes-1)*minuteT)
-	if src.prefix != nil || src.prefixDay != -1 {
-		t.Fatal("short queries must not materialize the prefix table")
-	}
-
-	long := src.Energy(0, simtime.Time(2*prefixSpanMinutes)*minuteT)
-	if src.prefix == nil || src.prefixDay != 0 {
-		t.Fatal("a long query should materialize the prefix table for its day")
-	}
-	if want := oracleEnergy(src, 0, simtime.Time(2*prefixSpanMinutes)*minuteT); math.Abs(long-want) > 1e-9 {
-		t.Fatalf("long query = %v, oracle = %v", long, want)
 	}
 }
 

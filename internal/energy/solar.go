@@ -334,7 +334,6 @@ func (yt *YearTrace) NodeSource(nodeID int, peakW, variation float64) Source {
 		peakW:     peakW,
 		variation: min(1, max(0, variation)),
 		cacheDay:  -1,
-		prefixDay: -1,
 	}
 }
 
@@ -345,34 +344,17 @@ type nodeSource struct {
 	variation float64
 	db        *DayBase // shared per-lane day-base cache; nil falls back to per-node fills
 
-	// Rolling one-day harvest cache (see DESIGN.md "Harvest prefix
+	// Rolling one-day harvest cache (see DESIGN.md "Harvest day
 	// cache"): minuteP holds the harvested power of every minute of
 	// cacheDay, computed with exactly the per-minute expression the
-	// straightforward loop uses, and prefix holds the running sums of
-	// the per-minute energies (minuteP[m] * 60 s). The cache is built
-	// lazily once per simulated day; the simulator advances through
-	// days monotonically, so one day of state is enough.
+	// straightforward loop uses. The cache is built lazily once per
+	// simulated day; the simulator advances through days monotonically,
+	// so one day of state is enough.
 	cacheDay int64
 	minuteP  []float64 // len minutesPerDay
-	// prefix is derived from minuteP on demand (prefixDay tracks which
-	// day it currently matches): only long Energy queries need it, so
-	// the per-minute fills that dominate priming and node integration
-	// skip the running-sum work entirely.
-	prefixDay int64
-	prefix    []float64 // len minutesPerDay+1, prefix[m] = sum of first m minute energies
 }
 
 var _ MinuteSource = (*nodeSource)(nil)
-
-// prefixSpanMinutes is the number of whole minutes an Energy query must
-// cover before the prefix-difference shortcut is taken. Shorter spans
-// sum the cached per-minute energies sequentially, which reproduces the
-// pre-cache loop bit for bit (floating-point addition is not
-// associative, so a prefix difference may differ in the last ulp).
-// Every hot-path query — node integration, forecaster observation, and
-// the default 1-minute forecast windows — covers at most one whole
-// minute and therefore always takes the exact path.
-const prefixSpanMinutes = 16
 
 // SetDayBase attaches a shared day-base cache; subsequent per-day fills
 // read the year-adjusted base powers from it instead of re-deriving them
@@ -488,26 +470,6 @@ func (s *nodeSource) fillFromBase(day int64) {
 	}
 }
 
-// ensurePrefix derives the running-sum table for the cached day. The
-// sums accumulate minuteP[m] * 60 s in minute order, so a prefix
-// difference equals the sequential fold over the same minutes up to
-// non-associativity of the two subtractions.
-func (s *nodeSource) ensurePrefix(day int64) {
-	s.ensureDay(day)
-	if s.prefixDay == day {
-		return
-	}
-	if s.prefix == nil {
-		s.prefix = make([]float64, minutesPerDay+1)
-	}
-	var cum float64
-	for m := 0; m < minutesPerDay; m++ {
-		cum += s.minuteP[m] * 60.0
-		s.prefix[m+1] = cum
-	}
-	s.prefixDay = day
-}
-
 // MinutePower implements MinuteSource.
 func (s *nodeSource) MinutePower(minute int64) float64 {
 	if minute < 0 {
@@ -541,11 +503,9 @@ func (s *nodeSource) Power(t simtime.Time) float64 {
 	return s.peakW * s.trace.At(minute) * s.localFactor(minute)
 }
 
-// Energy answers interval queries from the rolling day cache: partial
-// minutes and short spans sum the cached per-minute powers in the same
-// order as the original minute loop (bit-identical), while spans
-// covering at least prefixSpanMinutes whole minutes within one day
-// collapse to an O(1) prefix difference.
+// Energy answers interval queries from the rolling day cache, summing
+// the cached per-minute powers in the same order as the original minute
+// loop, so every span is bit-identical to it.
 func (s *nodeSource) Energy(from, to simtime.Time) float64 {
 	if to <= from {
 		return 0
@@ -589,13 +549,8 @@ func (s *nodeSource) Energy(from, to simtime.Time) float64 {
 
 		// Whole minutes, then an optional tail partial minute.
 		if nFull := int(int64(segEnd/minuteT) - minute); nFull > 0 {
-			if nFull < prefixSpanMinutes {
-				for i := 0; i < nFull; i++ {
-					total += s.minuteP[m+i] * 60.0
-				}
-			} else {
-				s.ensurePrefix(day)
-				total += s.prefix[m+nFull] - s.prefix[m]
+			for i := 0; i < nFull; i++ {
+				total += s.minuteP[m+i] * 60.0
 			}
 			minute += int64(nFull)
 			m += nFull

@@ -46,8 +46,8 @@ func soaOracleScenario(seed uint64) config.Scenario {
 }
 
 // TestSoACoreMatchesPointerCore pins the fused SoA integration kernel
-// (integrateFast: at-capacity span skip, below-capacity full-accept
-// span, hoisted per-minute balance) bit-for-bit against the generic
+// (integrateFast's two passes, with the battery's at-capacity and
+// full-accept spans and collapsed runs) bit-for-bit against the generic
 // reference path across randomized scenarios, with faults and obs
 // recording on, at 1 and 4 shards. Every per-node float in the Result
 // and the complete obs export must match byte for byte.

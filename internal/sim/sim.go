@@ -347,7 +347,7 @@ func (s *Simulation) RunOpt(opt RunOptions) (*Result, error) {
 // k·SampleEvery at any shard count and the worker lanes never carry
 // sampling events. (sh == s.coord whenever this handler runs; the
 // explicit target keeps that an invariant rather than an accident.)
-// The per-interval wakeups do not defeat the nodes' idle-span skip:
+// The per-interval wakeups do not defeat the nodes' lazy integration:
 // they wake only the coordinator, never a node — no integration, no
 // per-node events.
 func (sh *shard) obsSample() {
