@@ -316,13 +316,13 @@ func benchSimLargeN(b *testing.B, nodes int) {
 func BenchmarkSimulatorDayLargeN(b *testing.B) { benchSimLargeN(b, 500) }
 func BenchmarkSweep1000Nodes(b *testing.B)     { benchSimLargeN(b, 1000) }
 
-// benchSimSharded runs one simulated day at city scale on the sharded
-// engine: a multi-gateway deployment wide enough that each cell carries
-// real traffic. ForecastPrimeDays is trimmed to one because priming is
+// benchSimMultiGateway runs one simulated day at city scale: a
+// multi-gateway deployment wide enough that every gateway carries real
+// traffic. ForecastPrimeDays is trimmed to one because priming is
 // construction cost, not the simulation loop this bench tracks (at 100k
 // nodes the default seven priming days dominate wall-clock). sim-days/s
 // is the scale-ladder headline the bench-regression harness gates.
-func benchSimSharded(b *testing.B, nodes, gateways int, radiusM float64) {
+func benchSimMultiGateway(b *testing.B, nodes, gateways int, radiusM float64) {
 	b.Helper()
 	cfg := config.Default().WithSeed(9)
 	cfg.Nodes = nodes
@@ -335,13 +335,12 @@ func benchSimSharded(b *testing.B, nodes, gateways int, radiusM float64) {
 	if testing.Short() {
 		cfg.Duration = 2 * simtime.Hour
 	}
-	opt := sim.RunOptions{} // auto shards: min(gateways, CPUs)
 	run := func() {
 		s, err := sim.New(cfg, sim.Hooks{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := s.RunOpt(opt); err != nil {
+		if _, err := s.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -357,11 +356,12 @@ func benchSimSharded(b *testing.B, nodes, gateways int, radiusM float64) {
 }
 
 // BenchmarkSweep10kNodes and BenchmarkSweep100kNodes are the scale
-// ladder's upper rungs: the 100k run is the paper-scale target a single
-// event heap could not reach, and the 10k rung localizes regressions
-// between 1k and 100k. Both shrink to two simulated hours under -short.
-func BenchmarkSweep10kNodes(b *testing.B)  { benchSimSharded(b, 10_000, 8, 25_000) }
-func BenchmarkSweep100kNodes(b *testing.B) { benchSimSharded(b, 100_000, 16, 40_000) }
+// ladder's upper rungs: the 100k run is the largest deployment the
+// ladder tracks (the paper's own runs stop at 500 nodes), and the 10k
+// rung localizes regressions between 1k and 100k. Both shrink to two
+// simulated hours under -short.
+func BenchmarkSweep10kNodes(b *testing.B)  { benchSimMultiGateway(b, 10_000, 8, 25_000) }
+func BenchmarkSweep100kNodes(b *testing.B) { benchSimMultiGateway(b, 100_000, 16, 40_000) }
 
 // lnsIngestTrace builds the deterministic replay workload for
 // BenchmarkLNSIngest: a diurnal SoC sawtooth per node sampled every ten

@@ -65,7 +65,6 @@ func run() error {
 		duration  = flag.Duration("duration", 60*24*time.Hour, "simulated time")
 		seed      = flag.Uint64("seed", 1, "scenario seed")
 		channels  = flag.Int("channels", 1, "125 kHz uplink channels")
-		shards    = flag.Int("shards", 0, "per-cell engine shards: 0 = auto (min of gateways and CPUs), 1 = single heap")
 		fixedSF   = flag.Int("sf", 0, "fix all nodes to this SF (0 = link-budget assignment)")
 		forecast  = flag.String("forecast", "ewma", "forecaster: ewma, perfect, noisy")
 		noise     = flag.Float64("forecast-noise", 0.3, "relative error for the noisy forecaster")
@@ -133,13 +132,12 @@ func run() error {
 		}, simtime.FromDuration(*obsSample))
 	}
 
-	exec := config.Exec{Shards: *shards}
 	started := time.Now()
 	s, err := sim.New(cfg, sim.Hooks{Obs: rec})
 	if err != nil {
 		return err
 	}
-	res, err := s.RunOpt(sim.RunOptions{Shards: exec.Shards, Workers: exec.Workers})
+	res, err := s.Run()
 	if err != nil {
 		return err
 	}
@@ -147,13 +145,9 @@ func run() error {
 		if err := rec.ExportFiles(*obsDir, "run"); err != nil {
 			return fmt.Errorf("obs export: %w", err)
 		}
-		// Like the worker count, the effective shard count is recorded
-		// only here: run.jsonl and the CSVs stay byte-identical across
-		// -shards values.
 		err := obs.WriteInvocationManifest(filepath.Join(*obsDir, "manifest.json"), obs.InvocationManifest{
 			Seed:          cfg.Seed,
 			Workers:       1,
-			Shards:        s.ShardsUsed(),
 			SampleEveryMs: int64(rec.SampleEvery() / simtime.Millisecond),
 			Runs:          []string{"run.jsonl"},
 		})

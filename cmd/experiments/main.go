@@ -58,7 +58,6 @@ func run() error {
 		aging    = flag.Float64("aging", 0, "override aging acceleration factor (0 = scale default)")
 		csvDir   = flag.String("csv", "", "directory to also write per-table CSV files")
 		workers  = flag.Int("j", 0, "worker pool size for fan-out within an experiment (0 = all CPUs, 1 = serial)")
-		shards   = flag.Int("shards", 0, "per-cell engine shards per run: 0 = auto (min of gateways and CPUs), 1 = single heap")
 		reps     = flag.Int("replicates", 0, "derived-seed replicates pooled per scenario (0 or 1 = single run)")
 		verbose  = flag.Bool("v", false, "log per-run progress")
 
@@ -138,7 +137,6 @@ func run() error {
 		opts.AgingFactor = *aging
 	}
 	opts.Workers = *workers
-	opts.Shards = *shards
 	opts.Replicates = *reps
 	if *verbose {
 		opts.Log = os.Stderr
@@ -193,10 +191,8 @@ func run() error {
 }
 
 // writeObsManifest records this invocation's provenance — including the
-// resolved worker count and the requested shard count (0 = auto: the
-// effective count varies per scenario with its gateway count), both of
-// which deliberately live here and not in the per-run JSONL so run
-// files stay byte-identical across -j and -shards values.
+// resolved worker count, which deliberately lives here and not in the
+// per-run JSONL so run files stay byte-identical across -j values.
 func writeObsManifest(dir string, opts experiment.Options, entries []experiment.Entry) error {
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
@@ -215,7 +211,6 @@ func writeObsManifest(dir string, opts experiment.Options, entries []experiment.
 	return obs.WriteInvocationManifest(filepath.Join(dir, "manifest.json"), obs.InvocationManifest{
 		Seed:          opts.Seed,
 		Workers:       runner.Workers(opts.Workers),
-		Shards:        opts.Shards,
 		SampleEveryMs: int64(sampleEvery / simtime.Millisecond),
 		Experiments:   names,
 		Runs:          runs,

@@ -319,18 +319,3 @@ func (s Scenario) Fingerprint() string {
 	fmt.Fprintf(h, "%+v", s)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
-
-// Exec bundles the execution-strategy knobs shared by the CLIs. They
-// are deliberately NOT part of Scenario: Fingerprint hashes the whole
-// scenario into run manifests, and neither worker nor shard count may
-// change a run's identity — both only choose how the same byte-exact
-// result is computed.
-type Exec struct {
-	// Workers caps the goroutines used for run fan-out and shard
-	// phases; 0 (or negative) uses every CPU.
-	Workers int
-	// Shards is the requested per-cell engine count for each run: 0
-	// auto-selects min(gateways, workers), 1 forces the single-heap
-	// engine, larger values are clamped to the gateway count.
-	Shards int
-}

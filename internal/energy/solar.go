@@ -262,12 +262,11 @@ func (yt *YearTrace) factorFor(year int64) float64 {
 // sub-expression of every node's per-day harvest-cache fill — for the
 // two most recent simulated days, so the float32 conversion and
 // year-factor clamp run once per (trace, day) instead of once per
-// (node, day). Two slots keyed by day parity suffice: the simulator's
-// lanes advance all their nodes through days monotonically, with
-// cursors never more than one day apart.
+// (node, day). Two slots keyed by day parity suffice: the simulator
+// advances all its nodes through days monotonically, with cursors never
+// more than one day apart.
 //
-// A DayBase is not safe for concurrent use; the simulator gives each
-// event lane its own instance.
+// A DayBase is not safe for concurrent use; each simulation owns one.
 type DayBase struct {
 	trace *YearTrace
 	day   [2]int64
@@ -279,7 +278,7 @@ type DayBase struct {
 	zero [2][]bool
 }
 
-// NewDayBase returns an empty per-lane day-base cache over the trace.
+// NewDayBase returns an empty day-base cache over the trace.
 func (yt *YearTrace) NewDayBase() *DayBase {
 	return &DayBase{trace: yt, day: [2]int64{-1, -1}}
 }
@@ -342,7 +341,7 @@ type nodeSource struct {
 	nodeID    uint64
 	peakW     float64
 	variation float64
-	db        *DayBase // shared per-lane day-base cache; nil falls back to per-node fills
+	db        *DayBase // shared day-base cache; nil falls back to per-node fills
 
 	// Rolling one-day harvest cache (see DESIGN.md "Harvest day
 	// cache"): minuteP holds the harvested power of every minute of

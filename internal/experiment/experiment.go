@@ -31,12 +31,6 @@ type Options struct {
 	// runs; 0 (or negative) uses every CPU, 1 forces serial execution.
 	// Output tables are byte-identical at any worker count.
 	Workers int
-	// Shards selects the spatially sharded engine for every simulation
-	// run: 0 (auto) picks min(gateways, workers) lanes, 1 forces the
-	// single-heap engine, higher values are clamped to the gateway
-	// count. Like Workers, this is an execution knob only — tables and
-	// obs exports are byte-identical at any shard count.
-	Shards int
 	// Replicates repeats every scenario with deterministically derived
 	// seeds and pools the results. 0 or 1 means a single run; replicate
 	// 0 always keeps the base seed, so the default output matches a
@@ -52,13 +46,6 @@ type Options struct {
 	// ObsSampleEvery is the timeline sampling period; 0 uses
 	// obs.DefaultSampleEvery.
 	ObsSampleEvery simtime.Duration
-}
-
-func (o Options) shards() int {
-	if o.Shards > 0 {
-		return o.Shards
-	}
-	return 0 // auto: sim resolves min(gateways, workers)
 }
 
 func (o Options) seed() uint64 {

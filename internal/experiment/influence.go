@@ -61,7 +61,7 @@ func Fig3(o Options) (*Table, error) {
 		}}
 
 		o.logf("fig3: H-50 %d nodes, %v", cfg.Nodes, cfg.Duration)
-		res, err := simulate(o, cfg, hooks)
+		res, err := simulate(cfg, hooks)
 		if err != nil {
 			return groupSums{}, err
 		}

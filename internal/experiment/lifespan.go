@@ -48,7 +48,7 @@ func Fig2(o Options) (*Table, error) {
 		}}
 
 		o.logf("fig2: LoRaWAN %d nodes, %v", cfg.Nodes, cfg.Duration)
-		res, err := simulate(o, cfg, hooks)
+		res, err := simulate(cfg, hooks)
 		if err != nil {
 			return fig2run{}, err
 		}
@@ -174,7 +174,7 @@ func runLifespans(o Options) ([]lifespanRun, error) {
 		applyAging(&cfg, o.aging())
 		cfg.Seed = runner.DeriveSeed(cfg.Seed, "lifespan", rep)
 		o.logf("lifespan: running %s to EoL (%d nodes, aging x%g)", v.label, cfg.Nodes, o.aging())
-		res, err := simulate(o, cfg, sim.Hooks{})
+		res, err := simulate(cfg, sim.Hooks{})
 		if err != nil {
 			return lifespanRun{}, fmt.Errorf("experiment: %s: %w", v.label, err)
 		}

@@ -50,15 +50,13 @@ func mapRuns[T any](o Options, n int, fn func(i int) (T, error)) ([]T, error) {
 		func(_ context.Context, i int) (T, error) { return fn(i) })
 }
 
-// simulate builds and runs one scenario: the unit of fan-out. The
-// run inherits the experiment's shard/worker knobs; shard count is an
-// execution detail, so results stay byte-identical at any setting.
-func simulate(o Options, cfg config.Scenario, hooks sim.Hooks) (*sim.Result, error) {
+// simulate builds and runs one scenario: the unit of fan-out.
+func simulate(cfg config.Scenario, hooks sim.Hooks) (*sim.Result, error) {
 	s, err := sim.New(cfg, hooks)
 	if err != nil {
 		return nil, err
 	}
-	return s.RunOpt(sim.RunOptions{Shards: o.shards(), Workers: o.Workers})
+	return s.Run()
 }
 
 // runScenarios executes every scenario Replicates times through the
@@ -92,7 +90,7 @@ func runScenarios(o Options, name string, labels []string, scenarios []config.Sc
 				Nodes:      cfg.Nodes,
 			}, o.ObsSampleEvery)
 		}
-		res, err := simulate(o, cfg, sim.Hooks{Obs: rec})
+		res, err := simulate(cfg, sim.Hooks{Obs: rec})
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %s: %w", labels[si], err)
 		}

@@ -28,8 +28,10 @@ func render(t *testing.T, run Runner, o Options) string {
 
 // TestParallelDeterminism is the contract of the parallel runner: for
 // every ported experiment, the same seed must produce byte-identical
-// tables whatever the worker count. Each subtest compares two fresh
-// runs, serial (Workers=1) vs fan-out (Workers=8).
+// tables whatever the worker count. Each subtest compares fresh runs,
+// serial (Workers=1) vs fan-out (Workers=2 and 8). The gateway ablation
+// covers multi-gateway runs at 22 nodes over 3 days, the smallest size
+// found at which a worker-count dependence shows in its table.
 func TestParallelDeterminism(t *testing.T) {
 	cases := []struct {
 		name string
@@ -43,18 +45,25 @@ func TestParallelDeterminism(t *testing.T) {
 			o.Duration = 9 * simtime.Day
 			return o
 		}},
+		{name: "abl-gateways", run: wrap(GatewayAblation), opts: func() Options {
+			o := tiny()
+			o.Nodes = 22
+			o.Duration = 3 * simtime.Day
+			return o
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			serial := tc.opts()
 			serial.Workers = 1
-			parallel := tc.opts()
-			parallel.Workers = 8
-			got := render(t, tc.run, parallel)
 			want := render(t, tc.run, serial)
-			if got != want {
-				t.Errorf("parallel output differs from serial:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", want, got)
+			for _, workers := range []int{2, 8} {
+				parallel := tc.opts()
+				parallel.Workers = workers
+				if got := render(t, tc.run, parallel); got != want {
+					t.Errorf("parallel output differs from serial:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s", want, workers, got)
+				}
 			}
 		})
 	}

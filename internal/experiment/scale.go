@@ -37,7 +37,7 @@ func Scale(o Options) ([]*Table, error) {
 		cfg.Theta = 0.5
 
 		started := time.Now()
-		res, err := simulate(o, cfg, sim.Hooks{})
+		res, err := simulate(cfg, sim.Hooks{})
 		if err != nil {
 			return nil, fmt.Errorf("experiment: scale %d nodes: %w", n, err)
 		}

@@ -30,11 +30,11 @@ const noneYet = simtime.Time(-1)
 // path. It is not safe for general concurrent use — the testbed
 // gateway guards it with its mutex, and the LNS daemon gives each
 // shard a private Server —
-// with one carve-out the sharded simulator relies on: Ingest/Rejoin
-// calls for *distinct* nodes may run concurrently. Per-node state is
-// only ever touched by the lane owning that node, the tally counters
-// are atomic, and the shared dirty flag is an atomic.Bool, so
-// disjoint-node ingestion from parallel engine lanes is race-free.
+// with one carve-out: Ingest/Rejoin calls for *distinct* nodes may run
+// concurrently. Per-node state is only ever touched by the caller
+// driving that node, the tally counters are atomic, and the shared
+// dirty flag is an atomic.Bool, so disjoint-node ingestion is
+// race-free.
 // Everything else (Register, recomputes, w_u reads) stays serialized
 // by the callers.
 type Server struct {
@@ -55,9 +55,8 @@ type Server struct {
 	// degrAt is the grid instant of the latest RecomputeDegrAt (noneYet
 	// before the first, and after a Restore); dirty marks tracker/fleet
 	// mutations since then, letting a repeated barrier at the same
-	// instant skip the O(nodes) degradation pass. Atomic: parallel
-	// engine lanes ingest disjoint nodes concurrently and all set it
-	// (see the type comment).
+	// instant skip the O(nodes) degradation pass. Atomic: concurrent
+	// disjoint-node ingestion sets it (see the type comment).
 	clock  simtime.Time
 	degrAt simtime.Time
 	dirty  atomic.Bool

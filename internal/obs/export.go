@@ -276,17 +276,15 @@ func (r *Recorder) ExportFiles(dir, base string) error {
 }
 
 // InvocationManifest is the per-invocation provenance written by CLIs as
-// manifest.json next to the exported runs. The worker and shard counts
-// live here, not in the per-run JSONL, so the run files stay
-// byte-identical across -j and -shards values; determinism checks diff
-// the run files and skip this one.
+// manifest.json next to the exported runs. The worker count lives here,
+// not in the per-run JSONL, so the run files stay byte-identical across
+// -j values; determinism checks diff the run files and skip this one.
 type InvocationManifest struct {
 	Tool          string   `json:"tool"`
 	Version       string   `json:"version"`
 	Schema        int      `json:"schema"`
 	Seed          uint64   `json:"seed"`
 	Workers       int      `json:"workers"`
-	Shards        int      `json:"shards,omitempty"`
 	SampleEveryMs int64    `json:"sample_every_ms"`
 	Experiments   []string `json:"experiments,omitempty"`
 	Runs          []string `json:"runs,omitempty"`

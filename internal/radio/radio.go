@@ -143,17 +143,3 @@ func hash01(seed, a, b uint64) float64 {
 	x ^= x >> 31
 	return float64(x>>11) / (1 << 53)
 }
-
-// StrongestGateway returns the index of the gateway with the highest
-// received power, breaking ties toward the lowest index. It defines a
-// node's home cell in the sharded simulator, so the tie-break must be
-// deterministic.
-func StrongestGateway(rxPowerDBm []float64) int {
-	best := 0
-	for g := 1; g < len(rxPowerDBm); g++ {
-		if rxPowerDBm[g] > rxPowerDBm[best] {
-			best = g
-		}
-	}
-	return best
-}

@@ -142,69 +142,3 @@ func DeriveSeed(base uint64, label string, replicate int) uint64 {
 	}
 	return h
 }
-
-// Pool is a persistent worker pool for repeated barrier-style batches:
-// the sharded simulator runs one batch per conservative-lookahead sync
-// point, and spawning goroutines per batch would dominate short phases.
-// A Pool with one worker runs every batch inline on the caller's
-// goroutine — no goroutines, deterministic even under -race.
-type Pool struct {
-	workers int
-	jobs    chan int
-	fn      func(int)
-	wg      sync.WaitGroup
-}
-
-// NewPool starts a pool of the given size (clamped to >= 1). Callers
-// must Close it to release the worker goroutines.
-func NewPool(workers int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	p := &Pool{workers: workers}
-	if workers == 1 {
-		return p
-	}
-	p.jobs = make(chan int)
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range p.jobs {
-				p.fn(i)
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// Run executes fn(0..n-1) across the pool and returns when every call
-// has completed (a barrier). Batches of one run inline: the channel
-// round-trip costs more than the job dispatch it would parallelize.
-func (p *Pool) Run(n int, fn func(int)) {
-	if n <= 0 {
-		return
-	}
-	if p.workers == 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	// fn is published to the workers by the channel sends below; the
-	// barrier's wg.Wait orders every read before the next batch's write.
-	p.fn = fn
-	p.wg.Add(n)
-	for i := 0; i < n; i++ {
-		p.jobs <- i
-	}
-	p.wg.Wait()
-	p.fn = nil
-}
-
-// Close releases the pool's goroutines; the pool must not be used
-// afterwards.
-func (p *Pool) Close() {
-	if p.jobs != nil {
-		close(p.jobs)
-	}
-}

@@ -49,8 +49,8 @@ func soaOracleScenario(seed uint64) config.Scenario {
 // (integrateFast's two passes, with the battery's at-capacity and
 // full-accept spans and collapsed runs) bit-for-bit against the generic
 // reference path across randomized scenarios, with faults and obs
-// recording on, at 1 and 4 shards. Every per-node float in the Result
-// and the complete obs export must match byte for byte.
+// recording on. Every per-node float in the Result and the complete obs
+// export must match byte for byte.
 func TestSoACoreMatchesPointerCore(t *testing.T) {
 	seeds := 50
 	if testing.Short() {
@@ -60,31 +60,32 @@ func TestSoACoreMatchesPointerCore(t *testing.T) {
 		cfg := soaOracleScenario(seed)
 		man := obs.Manifest{Experiment: "soa-oracle", Seed: seed, Nodes: cfg.Nodes}
 
-		run := func(generic bool, shards int) (*Result, []byte) {
+		run := func(generic bool) (*Result, []byte) {
 			debugGenericIntegrate = generic
 			defer func() { debugGenericIntegrate = false }()
 			rec := obs.New(man, 30*simtime.Minute)
-			_, res := runOpt(t, cfg, rec, RunOptions{Shards: shards, Workers: 2})
-			return res, obsBytes(t, rec)
+			s, err := New(cfg, Hooks{Obs: rec})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			res, err := s.Run()
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			var buf bytes.Buffer
+			if err := rec.WriteJSONL(&buf); err != nil {
+				t.Fatalf("WriteJSONL: %v", err)
+			}
+			return res, buf.Bytes()
 		}
 
-		refRes, refObs := run(true, 1)
-		for _, c := range []struct {
-			name    string
-			generic bool
-			shards  int
-		}{
-			{"fast/1shard", false, 1},
-			{"fast/4shards", false, 4},
-			{"generic/4shards", true, 4},
-		} {
-			res, out := run(c.generic, c.shards)
-			if !reflect.DeepEqual(refRes, res) {
-				t.Errorf("seed %d %s: result differs from generic single-shard run", seed, c.name)
-			}
-			if !bytes.Equal(refObs, out) {
-				t.Errorf("seed %d %s: obs export differs from generic single-shard run", seed, c.name)
-			}
+		refRes, refObs := run(true)
+		res, out := run(false)
+		if !reflect.DeepEqual(refRes, res) {
+			t.Errorf("seed %d: fast kernel result differs from the generic run", seed)
+		}
+		if !bytes.Equal(refObs, out) {
+			t.Errorf("seed %d: fast kernel obs export differs from the generic run", seed)
 		}
 		if t.Failed() {
 			t.Fatalf("seed %d: kernel/reference divergence; stopping at first failing seed", seed)

@@ -170,7 +170,7 @@ func (e *Engine) ringPush(m int64, en entry) {
 // global minimum: while the earliest staged minute could precede the
 // heap head, its whole bucket moves to the heap (which then orders the
 // merged entries by (at, seq) exactly as a pure-heap engine would).
-// Every head inspection — pop sites, NextAt — goes through here.
+// Every head inspection goes through here.
 func (e *Engine) ensureHead() {
 	for e.ringCount > 0 {
 		if len(e.pq) > 0 && e.pq[0].at < simtime.Time(e.ringNext)*engineMinute {
@@ -320,56 +320,6 @@ func (e *Engine) pop() entry {
 	}
 	e.pq[i] = en
 	return top
-}
-
-// NextAt reports the timestamp of the earliest queued event, or false
-// when the queue is empty. The sharded runner uses it to compute the
-// conservative lookahead bound for each phase.
-func (e *Engine) NextAt() (simtime.Time, bool) {
-	e.ensureHead()
-	if len(e.pq) == 0 {
-		return 0, false
-	}
-	return e.pq[0].at, true
-}
-
-// RunUntil executes events strictly before limit, honoring a Stop()
-// issued by an event (unlike Run it does not clear the flag, so a
-// simulation-wide halt survives across phases). The clock is left at
-// the last executed event: the next phase's events re-advance it, and
-// an intermediate jump to limit-1ns would be observable through Now()
-// in event handlers.
-func (e *Engine) RunUntil(limit simtime.Time) {
-	for !e.stop {
-		e.ensureHead()
-		if len(e.pq) == 0 || e.pq[0].at >= limit {
-			return
-		}
-		en := e.pop()
-		e.now = en.at
-		e.executed++
-		en.ev.Fire()
-	}
-}
-
-// RunAt advances the clock to t and executes every event with at <= t,
-// including same-instant cascades scheduled while draining (zero
-// lookahead within one engine). Like RunUntil it honors Stop() without
-// clearing it.
-func (e *Engine) RunAt(t simtime.Time) {
-	if e.now < t {
-		e.now = t
-	}
-	for !e.stop {
-		e.ensureHead()
-		if len(e.pq) == 0 || e.pq[0].at > t {
-			return
-		}
-		en := e.pop()
-		e.now = en.at
-		e.executed++
-		en.ev.Fire()
-	}
 }
 
 // Stopped reports whether Stop() has been called since the last Run.

@@ -169,15 +169,7 @@ func (m *Medium) NewTransmission() *Transmission {
 // BeginUplink registers a transmission starting now. Collision state is
 // updated immediately for the new signal and every overlapping one, at
 // every gateway. tx.PowerDBm must have one entry per gateway.
-func (m *Medium) BeginUplink(tx *Transmission) { m.beginUplink(tx, true) }
-
-// BeginUplinkPart registers one cell's masked clone of a cross-shard
-// transmission: reception state is tracked exactly as BeginUplink
-// would, but the uplink is not counted — the coordinator counts the
-// whole transmission once via CountUplink.
-func (m *Medium) BeginUplinkPart(tx *Transmission) { m.beginUplink(tx, false) }
-
-func (m *Medium) beginUplink(tx *Transmission, count bool) {
+func (m *Medium) BeginUplink(tx *Transmission) {
 	tx.begun = true
 	tx.anyViable = false
 	tx.ensureBits(m.words)
@@ -222,9 +214,7 @@ func (m *Medium) beginUplink(tx *Transmission, count bool) {
 		tx.anyViable = true
 		m.viable++
 	}
-	if count {
-		m.cUplinks.Inc()
-	}
+	m.cUplinks.Inc()
 	tx.activeIdx = len(m.active)
 	m.active = append(m.active, tx)
 	tx.bucketIdx = len(bkt)
@@ -344,63 +334,6 @@ func (m *Medium) detach(tx *Transmission) {
 	}
 	if tx.anyViable {
 		m.viable--
-	}
-}
-
-// EndUplinkPart removes one cell's masked clone of a cross-shard
-// transmission, appends its decoding gateways to dst in ascending
-// index order, and reports whether any in-range gateway saw
-// interference or demodulator exhaustion. The coordinator merges the
-// per-cell results, orders them, and classifies the outcome once via
-// CountUplinkOutcome.
-func (m *Medium) EndUplinkPart(tx *Transmission, dst []int) (decoded []int, anyCorrupted, anyUnlocked bool) {
-	m.detach(tx)
-	for g := 0; g < m.gateways; g++ {
-		if tx.weak.get(g) {
-			continue
-		}
-		c, u := tx.corrupted.get(g), tx.unlocked.get(g)
-		if c {
-			anyCorrupted = true
-		}
-		if u {
-			anyUnlocked = true
-		}
-		if !c && !u {
-			dst = append(dst, g)
-		}
-	}
-	if tx.pooled {
-		tx.begun = false
-		tx.PowerDBm = nil
-		tx.poolNext = m.freeTx
-		m.freeTx = tx
-	}
-	return dst, anyCorrupted, anyUnlocked
-}
-
-// CountUplink records one uplink in the observability counters without
-// registering a transmission; cross-shard uplinks register per-cell
-// clones via BeginUplinkPart, which does not count.
-func (m *Medium) CountUplink() { m.cUplinks.Inc() }
-
-// CountUplinkOutcome classifies one finished uplink from a merged
-// cross-shard outcome, mirroring EndUplink's classification exactly.
-func (m *Medium) CountUplinkOutcome(decoded int, anyCorrupted, anyUnlocked bool) {
-	if !m.obsOn {
-		return
-	}
-	if decoded > 0 {
-		m.cDecoded.Inc()
-		return
-	}
-	switch {
-	case anyCorrupted:
-		m.cLostCollision.Inc()
-	case anyUnlocked:
-		m.cLostBusy.Inc()
-	default:
-		m.cLostWeak.Inc()
 	}
 }
 

@@ -49,13 +49,6 @@ type Node struct {
 	span     simtime.Duration // worst-case attempt duration, precomputed
 	obsTL    *obs.NodeTimeline
 
-	// Sharded execution: owner is the lane whose engine runs this node's
-	// events (set per run); borderPow is non-nil only for border nodes —
-	// one masked power vector per worker lane that can hear the node,
-	// nil entries for lanes that cannot.
-	owner     *shard
-	borderPow [][]float64
-
 	// core/idx locate the node's integration-hot state in the
 	// struct-of-arrays node core (core.go).
 	core *soa

@@ -16,7 +16,6 @@ import (
 	"repro/internal/netserver"
 	"repro/internal/obs"
 	"repro/internal/radio"
-	"repro/internal/runner"
 	"repro/internal/simtime"
 )
 
@@ -82,30 +81,19 @@ type Result struct {
 type Simulation struct {
 	cfg    config.Scenario
 	hooks  Hooks
-	med    *Medium // the single-lane medium; sharded runs build per-cell media
+	eng    *Engine
+	med    *Medium
 	server *netserver.Server
 	nodes  []*Node
-	trace  *energy.YearTrace // shared weather trace; lanes batch per-day fills off it
 	gwPos  []radio.Position
 	phy    *lora.Table  // memoized airtime/TX-energy per (SF, payload)
 	plan   *faults.Plan // nil unless the scenario injects faults
 
+	freeEv  *simEvent // pooled events (events.go)
+	freePkt *packet   // pooled in-flight packets
+
 	monthly      []float64
 	lifespanDays float64
-
-	// Execution lanes, built per run by setupLanes. shards are the
-	// worker lanes (cells); coord owns global ticks and border nodes
-	// (identical to shards[0] in single-lane runs); lanes is both for
-	// iteration. gwShard maps gateway index to worker lane (nil in
-	// single-lane runs).
-	shards        []*shard
-	coord         *shard
-	lanes         []*shard
-	gwShard       []int
-	shardsUsed    int
-	stopped       bool
-	stopAt        simtime.Time
-	borderDecoded []int // coordinator's merge buffer for border uplinks
 
 	// Observability; obs is nil (and the counters no-ops) unless
 	// Hooks.Obs was set.
@@ -137,9 +125,9 @@ func New(cfg config.Scenario, hooks Hooks) (*Simulation, error) {
 	s := &Simulation{
 		cfg:    cfg,
 		hooks:  hooks,
+		eng:    NewEngine(),
 		med:    NewMedium(lora.BW125, cfg.Demodulators, cfg.Gateways),
 		server: server,
-		trace:  trace,
 		gwPos:  radio.GatewayLayout(cfg.Gateways, cfg.MaxDistanceM),
 		phy:    phy,
 		obs:    hooks.Obs,
@@ -169,6 +157,10 @@ func New(cfg config.Scenario, hooks Hooks) (*Simulation, error) {
 		ewmaBank = energy.NewDiurnalEWMABank(0.3, cfg.Nodes)
 	}
 	minuteSlab := make([]float64, cfg.Nodes*minutesPerDay)
+	// One day-base cache serves every node sharing the weather trace, so
+	// per-day harvest-cache fills batch the year-adjusted base powers
+	// (bit-identical to per-node fills, see energy.DayBase).
+	dayBase := trace.NewDayBase()
 	for id := 0; id < cfg.Nodes; id++ {
 		var ew *energy.DiurnalEWMA
 		if ewmaBank != nil {
@@ -178,6 +170,9 @@ func New(cfg config.Scenario, hooks Hooks) (*Simulation, error) {
 		n, err := s.buildNode(id, trace, ew, minuteSlab[lo:hi:hi])
 		if err != nil {
 			return nil, fmt.Errorf("sim: node %d: %w", id, err)
+		}
+		if ds, ok := n.src.(interface{ SetDayBase(*energy.DayBase) }); ok {
+			ds.SetDayBase(dayBase)
 		}
 		s.nodes = append(s.nodes, n)
 		server.Register(id, cfg.InitialSoC)
@@ -250,26 +245,13 @@ func (s *Simulation) buildNode(id int, trace *energy.YearTrace, ewma *energy.Diu
 // Nodes exposes the node set for experiment probes.
 func (s *Simulation) Nodes() []*Node { return s.nodes }
 
-// ShardsUsed reports the effective shard count of the last run (for
-// invocation manifests); zero before the first run.
-func (s *Simulation) ShardsUsed() int { return s.shardsUsed }
-
-// Run executes the scenario single-lane (the legacy engine) and
-// returns the result.
+// Run executes the scenario and returns the result.
 func (s *Simulation) Run() (*Result, error) {
-	return s.RunOpt(RunOptions{Shards: 1})
-}
-
-// RunOpt executes the scenario with the given execution options. The
-// result is byte-identical at every (workers, shards) combination.
-func (s *Simulation) RunOpt(opt RunOptions) (*Result, error) {
 	cfg := s.cfg
 	horizon := cfg.Duration
 	if cfg.RunToEoL {
 		horizon = cfg.MaxDuration
 	}
-
-	s.setupLanes(s.resolveShards(opt))
 
 	for _, n := range s.nodes {
 		spread := cfg.StartSpread
@@ -277,27 +259,20 @@ func (s *Simulation) RunOpt(opt RunOptions) (*Result, error) {
 			spread = n.Period
 		}
 		first := simtime.Time(n.rng.Int64N(int64(spread)))
-		n.owner.schedule(first, evGenerate, n, nil, nil, nil, 0, 0)
+		s.schedule(first, evGenerate, n, nil, nil, 0, 0)
 		if at, ok := s.plan.NextBrownout(n.ID, 0); ok {
-			n.owner.schedule(at, evBrownout, n, nil, nil, nil, 0, 0)
+			s.schedule(at, evBrownout, n, nil, nil, 0, 0)
 		}
 	}
-	s.coord.schedule(0, evRecompute, nil, nil, nil, nil, 0, 0)
-	s.coord.schedule(simtime.Time(30*simtime.Day), evMonthly, nil, nil, nil, nil, 0, 0)
+	s.schedule(0, evRecompute, nil, nil, nil, 0, 0)
+	s.schedule(simtime.Time(30*simtime.Day), evMonthly, nil, nil, nil, 0, 0)
 	if s.obs.Enabled() {
-		s.coord.schedule(0, evObsSample, nil, nil, nil, nil, 0, 0)
+		s.schedule(0, evObsSample, nil, nil, nil, 0, 0)
 	}
 
-	if len(s.lanes) == 1 {
-		s.lanes[0].eng.Run(simtime.Time(horizon))
-	} else {
-		s.runSharded(simtime.Time(horizon), runner.Workers(opt.Workers))
-	}
-
-	now := simtime.Time(horizon)
-	if s.stopped {
-		now = s.stopAt
-	}
+	// The clock ends at the horizon, or at the EoL stop's instant.
+	s.eng.Run(simtime.Time(horizon))
+	now := s.eng.Now()
 	res := &Result{
 		Label:         cfg.ProtocolLabel(),
 		Elapsed:       simtime.Duration(now),
@@ -321,16 +296,8 @@ func (s *Simulation) RunOpt(opt RunOptions) (*Result, error) {
 		})
 	}
 	if s.obs.Enabled() {
-		// The schedule/execute totals are summed across lanes: the event
-		// multiset is shard-invariant, so the sums match the single-heap
-		// counters exactly.
-		var scheduled, executed uint64
-		for _, ln := range s.lanes {
-			scheduled += ln.eng.Scheduled()
-			executed += ln.eng.Executed()
-		}
-		s.obs.Counter("engine.events_scheduled").Store(int64(scheduled))
-		s.obs.Counter("engine.events_executed").Store(int64(executed))
+		s.obs.Counter("engine.events_scheduled").Store(int64(s.eng.Scheduled()))
+		s.obs.Counter("engine.events_executed").Store(int64(s.eng.Executed()))
 	}
 	return res, nil
 }
@@ -341,30 +308,23 @@ func (s *Simulation) RunOpt(opt RunOptions) (*Result, error) {
 // cannot perturb the simulation: RNG streams, event order, and all
 // results stay byte-identical to an unobserved run.
 //
-// Scheduling rule (DESIGN.md §5e): obs sampling lives on the
-// coordinator lane, always — the t=0 seed in RunOpt and the reschedule
-// below both target s.coord explicitly, so the sample cadence is
-// k·SampleEvery at any shard count and the worker lanes never carry
-// sampling events. (sh == s.coord whenever this handler runs; the
-// explicit target keeps that an invariant rather than an accident.)
-// The per-interval wakeups do not defeat the nodes' lazy integration:
-// they wake only the coordinator, never a node — no integration, no
-// per-node events.
-func (sh *shard) obsSample() {
-	s := sh.s
-	now := sh.eng.Now()
+// Scheduling rule (DESIGN.md §5e): one sampling event, seeded at t=0
+// and rescheduled here, so the sample cadence is k·SampleEvery. The
+// per-interval wakeups do not defeat the nodes' lazy integration: they
+// wake no node — no integration, no per-node events.
+func (s *Simulation) obsSample() {
+	now := s.eng.Now()
 	for _, n := range s.nodes {
 		n.RecordTimeline(now)
 	}
-	s.coord.schedule(now.Add(s.obs.SampleEvery()), evObsSample, nil, nil, nil, nil, 0, 0)
+	s.schedule(now.Add(s.obs.SampleEvery()), evObsSample, nil, nil, nil, 0, 0)
 }
 
 // recomputeTick runs the gateway's degradation recomputation and the EoL
-// stop condition on the coordinator lane, once per DegradationInterval,
-// so each tick lands on a fresh slot of the recompute grid.
-func (sh *shard) recomputeTick() {
-	s := sh.s
-	now := sh.eng.Now()
+// stop condition once per DegradationInterval, so each tick lands on a
+// fresh slot of the recompute grid.
+func (s *Simulation) recomputeTick() {
+	now := s.eng.Now()
 	// An offline gateway misses its recompute slot; the next tick after
 	// the outage ends evaluates its own slot.
 	if !s.plan.GatewayDown(now) {
@@ -372,20 +332,19 @@ func (sh *shard) recomputeTick() {
 	}
 	if s.cfg.RunToEoL && s.maxGroundTruthDeg(now) >= s.cfg.BatteryModel.EoLThreshold {
 		s.lifespanDays = now.Days()
-		s.halt(now)
+		s.eng.Stop()
 		return
 	}
-	sh.schedule(now.Add(s.cfg.DegradationInterval), evRecompute, nil, nil, nil, nil, 0, 0)
+	s.schedule(now.Add(s.cfg.DegradationInterval), evRecompute, nil, nil, nil, 0, 0)
 }
 
-func (sh *shard) monthlyTick() {
-	s := sh.s
-	now := sh.eng.Now()
+func (s *Simulation) monthlyTick() {
+	now := s.eng.Now()
 	s.monthly = append(s.monthly, s.maxGroundTruthDeg(now))
 	if s.hooks.OnMonth != nil {
 		s.hooks.OnMonth(now, s.nodes)
 	}
-	sh.schedule(now.Add(30*simtime.Day), evMonthly, nil, nil, nil, nil, 0, 0)
+	s.schedule(now.Add(30*simtime.Day), evMonthly, nil, nil, nil, 0, 0)
 }
 
 func (s *Simulation) maxGroundTruthDeg(now simtime.Time) float64 {
@@ -398,15 +357,13 @@ func (s *Simulation) maxGroundTruthDeg(now simtime.Time) float64 {
 
 // generate handles one packet generation at a node: abort any stale
 // in-flight packet, run the MAC decision, and schedule the transmission
-// attempt and the next generation. It runs on the node's owner lane,
-// like every other per-node handler.
-func (sh *shard) generate(n *Node) {
-	s := sh.s
-	now := sh.eng.Now()
+// attempt and the next generation.
+func (s *Simulation) generate(n *Node) {
+	now := s.eng.Now()
 	n.Integrate(now)
 
 	if n.pkt != nil && !n.pkt.finished {
-		sh.finish(n, n.pkt, false, now)
+		s.finish(n, n.pkt, false, now)
 	}
 
 	dec, window := n.Decide(now)
@@ -419,7 +376,7 @@ func (sh *shard) generate(n *Node) {
 			s.hooks.OnPacketDone(n.ID, false, 0, -1)
 		}
 	} else {
-		pkt := sh.newPacket()
+		pkt := s.newPacket()
 		pkt.genAt = now
 		pkt.deadline = now.Add(n.Period)
 		pkt.window = window
@@ -432,10 +389,10 @@ func (sh *shard) generate(n *Node) {
 			}
 		}
 		at := now.Add(simtime.Duration(window)*s.cfg.ForecastWindow + offset)
-		sh.schedule(at, evAttempt, n, pkt, nil, nil, 0, 0)
+		s.schedule(at, evAttempt, n, pkt, nil, 0, 0)
 	}
 
-	sh.schedule(now.Add(n.Period), evGenerate, n, nil, nil, nil, 0, 0)
+	s.schedule(now.Add(n.Period), evGenerate, n, nil, nil, 0, 0)
 }
 
 // attemptSpan is the worst-case duration of one attempt: airtime plus
@@ -447,12 +404,11 @@ func attemptSpan(n *Node) simtime.Duration { return n.span }
 // it, deferring window by window otherwise. gen is the packet life the
 // triggering event was scheduled for; a mismatch means the packet was
 // recycled since.
-func (sh *shard) attempt(n *Node, pkt *packet, gen uint64) {
+func (s *Simulation) attempt(n *Node, pkt *packet, gen uint64) {
 	if pkt.gen != gen || pkt.finished || n.pkt != pkt {
 		return
 	}
-	s := sh.s
-	now := sh.eng.Now()
+	now := s.eng.Now()
 	n.Integrate(now)
 
 	payload := s.cfg.PayloadBytes + battery.ReportSize*len(n.Reports())
@@ -464,10 +420,10 @@ func (sh *shard) attempt(n *Node, pkt *packet, gen uint64) {
 		// or give up at the period boundary.
 		retry := now.Add(s.cfg.ForecastWindow)
 		if retry.Add(attemptSpan(n)).After(pkt.deadline) {
-			sh.finish(n, pkt, false, now)
+			s.finish(n, pkt, false, now)
 			return
 		}
-		sh.schedule(retry, evAttempt, n, pkt, nil, nil, 0, 0)
+		s.schedule(retry, evAttempt, n, pkt, nil, 0, 0)
 		return
 	}
 
@@ -477,41 +433,27 @@ func (sh *shard) attempt(n *Node, pkt *packet, gen uint64) {
 	pkt.radioEnergyJ += txE
 	n.Stats.TxEnergyJ += txE
 
-	airtime := s.phy.Airtime(params.SF, payload)
-	ch := n.ID % s.cfg.Channels
-	end := now.Add(airtime)
-	if n.borderPow != nil {
-		btx := sh.beginBorderUplink(n, ch, params.SF, now, end)
-		sh.schedule(end, evTxEnd, n, pkt, nil, btx, 0, 0)
-		return
-	}
-	tx := sh.med.NewTransmission()
+	tx := s.med.NewTransmission()
 	tx.NodeID = n.ID
-	tx.Channel = ch
+	tx.Channel = n.ID % s.cfg.Channels
 	tx.SF = params.SF
 	tx.PowerDBm = n.RxPowerDBm
 	tx.Start = now
-	tx.End = end
-	sh.med.BeginUplink(tx)
-	sh.schedule(end, evTxEnd, n, pkt, tx, nil, 0, 0)
+	tx.End = now.Add(s.phy.Airtime(params.SF, payload))
+	s.med.BeginUplink(tx)
+	s.schedule(tx.End, evTxEnd, n, pkt, tx, 0, 0)
 }
 
 // txEnd resolves one transmission attempt: gateway decoding, ACK
 // scheduling, or retransmission. The medium is released first in
 // every path (it only touches radio state, which commutes with the
 // node-side accounting below), so stale and live packets share it.
-func (sh *shard) txEnd(n *Node, pkt *packet, gen uint64, tx *Transmission, btx *borderTx) {
-	s := sh.s
-	var gws []int
-	if btx != nil {
-		gws = sh.endBorderUplink(n, btx)
-	} else {
-		gws = sh.med.EndUplink(tx)
-	}
+func (s *Simulation) txEnd(n *Node, pkt *packet, gen uint64, tx *Transmission) {
+	gws := s.med.EndUplink(tx)
 	if pkt.gen != gen || pkt.finished || n.pkt != pkt {
 		return
 	}
-	now := sh.eng.Now()
+	now := s.eng.Now()
 	n.Integrate(now)
 
 	// Receive windows cost energy whether or not an ACK arrives.
@@ -543,14 +485,9 @@ func (sh *shard) txEnd(n *Node, pkt *packet, gen uint64, tx *Transmission, btx *
 				rx1 := now.Add(rx1Delay)
 				ackEnd := rx1.Add(n.AckAirtime)
 				for _, gw := range gws {
-					// The downlink runs on the lane owning the gateway's radio
-					// (this lane for interior nodes; possibly another worker lane
-					// when the coordinator resolves a border uplink — always
-					// strictly in the future, so the barrier loop picks it up).
-					gl := s.laneForGW(gw)
-					if gl.med.ReserveDownlink(gw, rx1, ackEnd) {
-						gl.schedule(rx1, evDownlink, nil, nil, nil, nil, gw, ackEnd)
-						sh.schedule(ackEnd, evAckDone, n, pkt, nil, nil, 0, 0)
+					if s.med.ReserveDownlink(gw, rx1, ackEnd) {
+						s.schedule(rx1, evDownlink, nil, nil, nil, gw, ackEnd)
+						s.schedule(ackEnd, evAckDone, n, pkt, nil, 0, 0)
 						return
 					}
 				}
@@ -566,19 +503,18 @@ func (sh *shard) txEnd(n *Node, pkt *packet, gen uint64, tx *Transmission, btx *
 			}
 		}
 	}
-	sh.retryOrFail(n, pkt, now)
+	s.retryOrFail(n, pkt, now)
 }
 
 // brownout restarts a node: any in-flight packet dies, the node reboots
 // (Node.Reboot), and it re-registers with the gateway, which keeps its
 // accumulated degradation history.
-func (sh *shard) brownout(n *Node) {
-	s := sh.s
-	now := sh.eng.Now()
+func (s *Simulation) brownout(n *Node) {
+	now := s.eng.Now()
 	n.Integrate(now)
 
 	if n.pkt != nil && !n.pkt.finished {
-		sh.finish(n, n.pkt, false, now)
+		s.finish(n, n.pkt, false, now)
 	}
 	n.Reboot(now)
 	s.cBrownouts.Inc()
@@ -588,41 +524,39 @@ func (sh *shard) brownout(n *Node) {
 	// scheduled; modelling a reboot-time phase shift would desynchronize
 	// the pooled generate events for marginal realism.
 	if at, ok := s.plan.NextBrownout(n.ID, now); ok {
-		sh.schedule(at, evBrownout, n, nil, nil, nil, 0, 0)
+		s.schedule(at, evBrownout, n, nil, nil, 0, 0)
 	}
 }
 
-func (sh *shard) retryOrFail(n *Node, pkt *packet, now simtime.Time) {
-	if pkt.attempts >= sh.s.cfg.MaxAttempts {
-		sh.finish(n, pkt, false, now)
+func (s *Simulation) retryOrFail(n *Node, pkt *packet, now simtime.Time) {
+	if pkt.attempts >= s.cfg.MaxAttempts {
+		s.finish(n, pkt, false, now)
 		return
 	}
 	backoff := 500*simtime.Millisecond + simtime.Duration(n.rng.Int64N(int64(2*simtime.Second)))
 	retry := now.Add(rxWindowsSpan + backoff)
 	if retry.After(pkt.deadline) {
-		sh.finish(n, pkt, false, now)
+		s.finish(n, pkt, false, now)
 		return
 	}
-	sh.schedule(retry, evAttempt, n, pkt, nil, nil, 0, 0)
+	s.schedule(retry, evAttempt, n, pkt, nil, 0, 0)
 }
 
 // ackDelivered completes a packet successfully: the ACK carries the
 // gateway's latest normalized degradation for this node.
-func (sh *shard) ackDelivered(n *Node, pkt *packet, gen uint64) {
+func (s *Simulation) ackDelivered(n *Node, pkt *packet, gen uint64) {
 	if pkt.gen != gen || pkt.finished || n.pkt != pkt {
 		return
 	}
-	s := sh.s
-	now := sh.eng.Now()
+	now := s.eng.Now()
 	n.Integrate(now)
 	n.Proto.OnDegradationUpdate(now, s.server.NormalizedDegradation(n.ID))
 	n.ReportsDelivered()
-	sh.finish(n, pkt, true, now)
+	s.finish(n, pkt, true, now)
 }
 
 // finish settles a packet's fate (Node.Settle) and recycles it.
-func (sh *shard) finish(n *Node, pkt *packet, delivered bool, now simtime.Time) {
-	s := sh.s
+func (s *Simulation) finish(n *Node, pkt *packet, delivered bool, now simtime.Time) {
 	pkt.finished = true
 	n.pkt = nil
 	n.Settle(mac.Outcome{
@@ -634,7 +568,7 @@ func (sh *shard) finish(n *Node, pkt *packet, delivered bool, now simtime.Time) 
 	if s.hooks.OnPacketDone != nil {
 		s.hooks.OnPacketDone(n.ID, delivered, pkt.attempts, pkt.window)
 	}
-	sh.releasePacket(pkt)
+	s.releasePacket(pkt)
 }
 
 // rxPowers computes the node's static received power at every gateway.
