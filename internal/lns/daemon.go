@@ -1,6 +1,7 @@
 package lns
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -440,6 +441,34 @@ func (d *Daemon) RestoreState(snap *netserver.Snapshot) error {
 // payloads stays far below it.
 const maxBodyBytes = 64 << 20
 
+// bodyBufs recycles POST /v1/uplinks read buffers: decodeBatch copies
+// every value out, so a buffer is free again once it returns.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody bounds the read buffers kept for reuse: one outsized
+// request must not pin its buffer for the daemon's lifetime.
+const maxPooledBody = 1 << 20
+
+// readBatch reads a POST /v1/uplinks body, bounded like decodeBody,
+// into a pooled buffer and decodes it with decodeBatch. A declared
+// length over the bound is refused before any byte is read.
+func readBatch(w http.ResponseWriter, r *http.Request) (Batch, error) {
+	if r.ContentLength > maxBodyBytes {
+		return Batch{}, fmt.Errorf("body of %d bytes exceeds the %d-byte limit", r.ContentLength, maxBodyBytes)
+	}
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyBufs.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		return Batch{}, err
+	}
+	return decodeBatch(buf.Bytes())
+}
+
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(v); err != nil {
@@ -503,8 +532,9 @@ func (d *Daemon) Handler() http.Handler {
 		d.writeJSON(w, http.StatusOK, map[string]int{"registered": len(req.Nodes)})
 	})
 	mux.HandleFunc("POST /v1/uplinks", func(w http.ResponseWriter, r *http.Request) {
-		var b Batch
-		if !decodeBody(w, r, &b) {
+		b, err := readBatch(w, r)
+		if err != nil {
+			http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 			return
 		}
 		// An empty batch is a no-op, not work: acknowledging it without

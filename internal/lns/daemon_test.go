@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -610,6 +611,84 @@ func TestEmptyBatchAccounting(t *testing.T) {
 			t.Errorf("%s = %d after empty batches, want 0", name, v)
 		}
 	}
+}
+
+// TestUplinksRejectsMalformedBodies: every body decodeBatch refuses,
+// and one over maxBodyBytes, gets a 400 without touching the ingest
+// counters or the lanes, and the daemon still replays a valid stream
+// byte-identically to the library path afterwards.
+func TestUplinksRejectsMalformedBodies(t *testing.T) {
+	tr := synthTrace(3, 2, 8)
+	batches := BuildBatches(tr, 0, 8, 16)
+	lib, err := ReplayLocal(Config{}, tr, batches)
+	if err != nil {
+		t.Fatalf("ReplayLocal: %v", err)
+	}
+	want := wuBytes(t, lib.WuTable())
+
+	d, err := NewDaemon(Config{})
+	if err != nil {
+		t.Fatalf("NewDaemon: %v", err)
+	}
+	defer d.Close()
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+	d.RegisterAll([]RegisterNode{{Node: 0, SoC: tr.Nodes[0].InitialSoC}})
+
+	const up = `{"node":0,"at_ms":3600000,"window_ms":600000,"reports":[{"ago":1,"soc_q":30000}]}`
+	for name, body := range map[string]string{
+		"trailing bytes":  `{"uplinks":[` + up + `]}{}`,
+		"unknown field":   `{"uplinks":[{"node":0,"at_ms":3600000,"rssi":-90}]}`,
+		"duplicate key":   `{"uplinks":[{"node":5,"at_ms":7}],"uplinks":[` + up + `]}`,
+		"fractional node": `{"uplinks":[{"node":0.0,"at_ms":3600000}]}`,
+		"soc_q 65536":     `{"uplinks":[{"node":0,"at_ms":3600000,"reports":[{"ago":1,"soc_q":65536}]}]}`,
+		"bare null":       `null`,
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/uplinks", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: POST: %v", name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+
+	// The declared length alone refuses this one: a valid batch followed
+	// by whitespace, generated as it is read.
+	head := `{"uplinks":[` + up + `]}`
+	req := httptest.NewRequest(http.MethodPost, "/v1/uplinks",
+		io.MultiReader(strings.NewReader(head), io.LimitReader(spaces{}, maxBodyBytes)))
+	req.ContentLength = int64(len(head)) + maxBodyBytes
+	rec := httptest.NewRecorder()
+	d.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("body over maxBodyBytes: status %d, want 400", rec.Code)
+	}
+
+	if n := d.queued(); n != 0 {
+		t.Errorf("%d jobs queued after rejected bodies", n)
+	}
+	d.WuTable() // drain: a wrongly enqueued batch would be applied now
+	for _, name := range []string{"lns.batches_applied", "lns.batches_rejected", "lns.uplinks_applied", "netserver.packets_ingested"} {
+		if v := d.Recorder().Counter(name).Value(); v != 0 {
+			t.Errorf("%s = %d after rejected bodies, want 0", name, v)
+		}
+	}
+
+	if got := driveHTTP(t, ts, tr, batches, true, simtime.Day); !bytes.Equal(got, want) {
+		t.Fatalf("w_u after rejected bodies diverged from library path:\nhttp %s\nlib  %s", got, want)
+	}
+}
+
+// spaces reads as an endless run of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }
 
 // TestBackpressure429: when the ingest lane is full, POST /v1/uplinks

@@ -2,6 +2,13 @@ package lns
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -51,4 +58,137 @@ func FuzzParseObsJSONL(f *testing.F) {
 			t.Fatalf("batches carry %d reports for %d transitions", reports, transitions)
 		}
 	})
+}
+
+// FuzzDecodeBatch checks the hand decoder of POST /v1/uplinks against
+// encoding/json. It accepts a strict subset of what json.Unmarshal
+// accepts (see decodeBatch), so the oracle is one-sided:
+//
+//  1. whatever decodeBatch accepts, json.Unmarshal accepts too, into a
+//     reflect.DeepEqual Batch;
+//  2. a Batch built from the input, written by json.Marshal as every
+//     client writes it, is accepted and decodes DeepEqual to itself.
+//
+// The seed corpus (testdata/fuzz/FuzzDecodeBatch) holds real request
+// bodies of a make lns-smoke replay (body_*, which must be accepted)
+// and one input per reject class (reject_*, which must be rejected);
+// TestDecodeBatchSeedCorpus holds the seeds to that. Run beyond it with
+//
+//	go test -run '^$' -fuzz FuzzDecodeBatch -fuzztime 10s ./internal/lns
+func FuzzDecodeBatch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, err := decodeBatch(data); err == nil {
+			var want Batch
+			if err := json.Unmarshal(data, &want); err != nil {
+				t.Fatalf("decodeBatch accepted what json.Unmarshal rejects (%v): %q", err, data)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("decodeBatch(%q)\n = %#v\nwant %#v", data, got, want)
+			}
+		}
+		b := batchFrom(data)
+		body, err := json.Marshal(b)
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		got, err := decodeBatch(body)
+		if err != nil {
+			t.Fatalf("decodeBatch rejected json.Marshal output %s: %v", body, err)
+		}
+		if !reflect.DeepEqual(got, b) {
+			t.Fatalf("round trip of %s\n = %#v\nwant %#v", body, got, b)
+		}
+	})
+}
+
+// batchFrom builds a Batch from fuzz bytes: a count byte, then per
+// uplink three little-endian int64 fields and a reports byte (nil
+// reports, or 1-4 reports of two uint16). Bytes past the end read as
+// zero. Uplinks is never nil and Reports never empty-but-non-nil,
+// because json.Marshal writes those as null and as nothing.
+func batchFrom(data []byte) Batch {
+	take := func(n int) []byte {
+		out := make([]byte, n)
+		data = data[copy(out, data):]
+		return out
+	}
+	n := int(take(1)[0] % 9)
+	b := Batch{Uplinks: make([]Uplink, 0, n)}
+	for range n {
+		u := Uplink{
+			Node:     int(int64(binary.LittleEndian.Uint64(take(8)))),
+			AtMs:     int64(binary.LittleEndian.Uint64(take(8))),
+			WindowMs: int64(binary.LittleEndian.Uint64(take(8))),
+		}
+		for range int(take(1)[0] % 5) {
+			r := take(4)
+			u.Reports = append(u.Reports, WireReport{
+				Ago:  binary.LittleEndian.Uint16(r),
+				SoCQ: binary.LittleEndian.Uint16(r[2:]),
+			})
+		}
+		b.Uplinks = append(b.Uplinks, u)
+	}
+	return b
+}
+
+// TestDecodeBatchSeedCorpus keeps FuzzDecodeBatch from being vacuous:
+// every real request body in its seed corpus must be accepted, equal to
+// json.Unmarshal's result, and every reject-class seed must be rejected.
+func TestDecodeBatchSeedCorpus(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDecodeBatch", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted, rejected := 0, 0
+	for _, path := range paths {
+		name := filepath.Base(path)
+		data := readCorpusBytes(t, path)
+		got, err := decodeBatch(data)
+		switch {
+		case strings.HasPrefix(name, "body_"):
+			if err != nil {
+				t.Errorf("%s rejected: %v", name, err)
+				continue
+			}
+			var want Batch
+			if err := json.Unmarshal(data, &want); err != nil {
+				t.Errorf("%s: json.Unmarshal: %v", name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s decodes to %+v, json.Unmarshal to %+v", name, got, want)
+			}
+			accepted++
+		case strings.HasPrefix(name, "reject_"):
+			if err == nil {
+				t.Errorf("%s accepted as %+v", name, got)
+			}
+			rejected++
+		default:
+			t.Errorf("seed %s is named neither body_* nor reject_*", name)
+		}
+	}
+	if accepted < 3 || rejected < 10 {
+		t.Fatalf("corpus has %d body and %d reject seeds; the classes are gone", accepted, rejected)
+	}
+}
+
+// readCorpusBytes reads a one-value []byte seed file of the go test
+// fuzz v1 format.
+func readCorpusBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitN(strings.TrimSpace(string(raw)), "\n", 2)
+	if len(lines) != 2 || lines[0] != "go test fuzz v1" ||
+		!strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+		t.Fatalf("%s: not a one-value go test fuzz v1 []byte file", path)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(s)
 }

@@ -53,7 +53,7 @@ func ParseObsJSONL(r io.Reader) (*Trace, error) {
 	tr := &Trace{SampleEvery: obs.DefaultSampleEvery}
 	byNode := make(map[int]*NodeTrace)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

@@ -45,6 +45,20 @@ func TestParseObsJSONL(t *testing.T) {
 	}
 }
 
+// TestParseObsJSONLLongLine: the scanner starts with a 64 KiB buffer
+// and grows it up to 16 MiB, so a line longer than the initial buffer
+// (here a sample record padded past it) still parses.
+func TestParseObsJSONLLongLine(t *testing.T) {
+	long := `{"t":"sample","node":3,"at_ms":600000,"soc":0.5,"pad":"` + strings.Repeat("x", 100*1024) + `"}`
+	tr, err := ParseObsJSONL(strings.NewReader(long + "\n"))
+	if err != nil {
+		t.Fatalf("ParseObsJSONL: %v", err)
+	}
+	if len(tr.Nodes) != 1 || tr.Nodes[0].ID != 3 || tr.Nodes[0].InitialSoC != 0.5 {
+		t.Fatalf("long line parsed to %+v", tr.Nodes)
+	}
+}
+
 // TestParseObsJSONLShuffledLines is the InitialSoC regression test: an
 // export whose sample lines arrive out of time order (multi-writer
 // exporters, log shippers, or a plain shuffle) must parse to the SAME

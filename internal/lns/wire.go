@@ -19,8 +19,12 @@
 package lns
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
+	"sync"
 
 	"repro/internal/netserver"
 )
@@ -51,6 +55,314 @@ type Uplink struct {
 // one queue entry.
 type Batch struct {
 	Uplinks []Uplink `json:"uplinks"`
+}
+
+// decodeBatch parses a POST /v1/uplinks body in one pass, without
+// reflection. It accepts a strict subset of what encoding/json decodes
+// into a Batch: everything json.Marshal(Batch) writes, with JSON
+// whitespace anywhere and keys in any order, and nothing else —
+//
+//   - exact-case known keys only, written without escapes, each at most
+//     once per object;
+//   - integers only, in the JSON grammar (no fraction, exponent or
+//     leading zero) and the field's range; ago and soc_q take no sign;
+//   - no null, no strings, nothing but whitespace after the object.
+//
+// The result never aliases body. It takes two allocations, the
+// []Uplink and one flat []WireReport that every uplink's Reports is a
+// full slice expression of; as with json.Unmarshal, Reports is non-nil
+// exactly when the uplink has a "reports" array, and Uplinks exactly
+// when the body has an "uplinks" array.
+func decodeBatch(body []byte) (Batch, error) {
+	p := batchParsers.Get().(*batchParser)
+	b, err := p.parse(body)
+	p.b = nil // the pool must not pin the caller's buffer
+	// Scratch grown by an outsized body is left to the collector.
+	if cap(p.ups) <= maxPooledUplinks && cap(p.reports) <= 16*maxPooledUplinks {
+		batchParsers.Put(p)
+	}
+	return b, err
+}
+
+// maxPooledUplinks bounds the scratch a pooled parser keeps: four
+// thousand uplinks, far above the 64 per request loadgen sends.
+const maxPooledUplinks = 1 << 12
+
+var batchParsers = sync.Pool{New: func() any { return new(batchParser) }}
+
+// batchParser is decodeBatch's cursor and scratch. The scratch holds
+// the decoded values until their counts are known; the Batch is then
+// built in exact-size allocations, so no scratch reaches the shard
+// lanes and a parser is free for reuse as soon as parse returns.
+type batchParser struct {
+	b       []byte
+	i       int
+	ups     []parsedUplink
+	reports []WireReport
+}
+
+// parsedUplink is an Uplink whose reports are the next `reports`
+// entries of the scratch; -1 means the body had no "reports" array.
+type parsedUplink struct {
+	node           int
+	atMs, windowMs int64
+	reports        int
+}
+
+func (p *batchParser) parse(body []byte) (Batch, error) {
+	p.b, p.i = body, 0
+	p.ups, p.reports = p.ups[:0], p.reports[:0]
+	found, err := p.batch()
+	if err != nil || !found {
+		return Batch{}, err
+	}
+	ups := make([]Uplink, len(p.ups))
+	flat := make([]WireReport, len(p.reports))
+	copy(flat, p.reports)
+	off := 0
+	for i, u := range p.ups {
+		ups[i] = Uplink{Node: u.node, AtMs: u.atMs, WindowMs: u.windowMs}
+		if u.reports >= 0 {
+			end := off + u.reports
+			ups[i].Reports = flat[off:end:end]
+			off = end
+		}
+	}
+	return Batch{Uplinks: ups}, nil
+}
+
+// batch parses the whole body; found reports an "uplinks" array.
+func (p *batchParser) batch() (found bool, err error) {
+	err = p.object(func(key []byte) (uint8, error) {
+		if string(key) != "uplinks" {
+			return 0, p.unknown(key)
+		}
+		found = true
+		return 1, p.array(p.uplink)
+	})
+	if err != nil {
+		return false, err
+	}
+	p.ws()
+	if p.i != len(p.b) {
+		return false, p.fail("data after the batch object")
+	}
+	return found, nil
+}
+
+func (p *batchParser) uplink() error {
+	u := parsedUplink{reports: -1}
+	err := p.object(func(key []byte) (bit uint8, err error) {
+		switch string(key) {
+		case "node":
+			var v int64
+			v, err = p.int(math.MinInt, math.MaxInt)
+			u.node = int(v)
+			return 1, err
+		case "at_ms":
+			u.atMs, err = p.int(math.MinInt64, math.MaxInt64)
+			return 2, err
+		case "window_ms":
+			u.windowMs, err = p.int(math.MinInt64, math.MaxInt64)
+			return 4, err
+		case "reports":
+			n := len(p.reports)
+			err = p.array(p.report)
+			u.reports = len(p.reports) - n
+			return 8, err
+		}
+		return 0, p.unknown(key)
+	})
+	p.ups = append(p.ups, u)
+	return err
+}
+
+func (p *batchParser) report() error {
+	var r WireReport
+	err := p.object(func(key []byte) (uint8, error) {
+		var dst *uint16
+		var bit uint8
+		switch string(key) {
+		case "ago":
+			dst, bit = &r.Ago, 1
+		case "soc_q":
+			dst, bit = &r.SoCQ, 2
+		default:
+			return 0, p.unknown(key)
+		}
+		v, err := p.int(0, math.MaxUint16)
+		*dst = uint16(v)
+		return bit, err
+	})
+	p.reports = append(p.reports, r)
+	return err
+}
+
+// object parses one object. field is called with the cursor on each
+// key's value; it consumes the value and returns the key's bit, which
+// must not repeat within the object.
+func (p *batchParser) object(field func(key []byte) (uint8, error)) error {
+	if err := p.open('{'); err != nil {
+		return err
+	}
+	var seen uint8
+	for first := true; ; first = false {
+		key, more, err := p.member(first)
+		if err != nil || !more {
+			return err
+		}
+		bit, err := field(key)
+		if err != nil {
+			return err
+		}
+		if seen&bit != 0 {
+			return p.fail(fmt.Sprintf("repeated key %q", key))
+		}
+		seen |= bit
+	}
+}
+
+// array parses one array, calling elem with the cursor on each element.
+func (p *batchParser) array(elem func() error) error {
+	if err := p.open('['); err != nil {
+		return err
+	}
+	for first := true; ; first = false {
+		more, err := p.element(first)
+		if err != nil || !more {
+			return err
+		}
+		if err := elem(); err != nil {
+			return err
+		}
+	}
+}
+
+// ws skips JSON whitespace.
+func (p *batchParser) ws() {
+	for p.i < len(p.b) {
+		switch p.b[p.i] {
+		case ' ', '\t', '\n', '\r':
+			p.i++
+		default:
+			return
+		}
+	}
+}
+
+// open consumes the opening bracket or brace c.
+func (p *batchParser) open(c byte) error {
+	p.ws()
+	if p.i == len(p.b) || p.b[p.i] != c {
+		return p.fail(fmt.Sprintf("expected %q", c))
+	}
+	p.i++
+	return nil
+}
+
+// member advances to the next key of an object, consuming the key and
+// its colon; more is false once the closing brace is consumed.
+func (p *batchParser) member(first bool) (key []byte, more bool, err error) {
+	p.ws()
+	if p.i == len(p.b) {
+		return nil, false, p.fail("unexpected end of body")
+	}
+	if p.b[p.i] == '}' {
+		p.i++
+		return nil, false, nil
+	}
+	if !first {
+		if p.b[p.i] != ',' {
+			return nil, false, p.fail("expected ',' or '}'")
+		}
+		p.i++
+		p.ws()
+	}
+	if p.i == len(p.b) || p.b[p.i] != '"' {
+		return nil, false, p.fail("expected a key")
+	}
+	start := p.i + 1
+	n := bytes.IndexByte(p.b[start:], '"')
+	if n < 0 {
+		return nil, false, p.fail("unterminated key")
+	}
+	key = p.b[start : start+n]
+	if bytes.IndexByte(key, '\\') >= 0 {
+		return nil, false, p.fail("escaped key")
+	}
+	p.i = start + n + 1
+	p.ws()
+	if p.i == len(p.b) || p.b[p.i] != ':' {
+		return nil, false, p.fail("expected ':'")
+	}
+	p.i++
+	p.ws()
+	return key, true, nil
+}
+
+// element advances to the next value of an array; more is false once
+// the closing bracket is consumed.
+func (p *batchParser) element(first bool) (more bool, err error) {
+	p.ws()
+	if p.i == len(p.b) {
+		return false, p.fail("unexpected end of body")
+	}
+	if p.b[p.i] == ']' {
+		p.i++
+		return false, nil
+	}
+	if !first {
+		if p.b[p.i] != ',' {
+			return false, p.fail("expected ',' or ']'")
+		}
+		p.i++
+	}
+	return true, nil
+}
+
+// int parses a JSON integer in [lo, hi]. A minus sign is an error when
+// lo is 0, even on zero.
+func (p *batchParser) int(lo, hi int64) (int64, error) {
+	b, i := p.b, p.i
+	neg := i < len(b) && b[i] == '-'
+	limit := uint64(hi)
+	if neg {
+		if lo == 0 {
+			return 0, p.fail("negative value")
+		}
+		i++
+		limit = uint64(-(lo + 1)) + 1
+	}
+	start := i
+	var mag uint64
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		d := uint64(b[i] - '0')
+		if mag > (limit-d)/10 {
+			return 0, p.fail("integer out of range")
+		}
+		mag = mag*10 + d
+	}
+	switch {
+	case i == start:
+		return 0, p.fail("expected an integer")
+	case b[start] == '0' && i-start > 1:
+		return 0, p.fail("integer with a leading zero")
+	case i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E'):
+		return 0, p.fail("expected an integer, not a fraction or exponent")
+	}
+	p.i = i
+	if neg {
+		return int64(-mag), nil
+	}
+	return int64(mag), nil
+}
+
+func (p *batchParser) fail(msg string) error {
+	return fmt.Errorf("uplinks body: offset %d: %s", p.i, msg)
+}
+
+func (p *batchParser) unknown(key []byte) error {
+	return p.fail(fmt.Sprintf("unknown key %q", key))
 }
 
 // RegisterNode is one entry of a registration request. Rejoin selects

@@ -15,28 +15,28 @@ package netserver
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/battery"
 	"repro/internal/obs"
 	"repro/internal/simtime"
 )
 
+// maxNodeID is the largest node ID the server admits. The per-node
+// index is dense, so one huge ID from a request or a snapshot would
+// otherwise allocate a slot for every smaller ID; four million slots
+// (32 MiB of index) leave room above the largest fleet in this tree,
+// a million nodes.
+const maxNodeID = 1<<22 - 1
+
 // noneYet marks "no packet/report seen yet" in the per-node watermarks;
 // simulation time starts at 0, so any real instant exceeds it.
 const noneYet = simtime.Time(-1)
 
 // Server is the network-server state; Recompute is its one recompute
-// path. It is not safe for general concurrent use — the testbed
-// gateway guards it with its mutex, and the LNS daemon gives each
-// shard a private Server —
-// with one carve-out: Ingest/Rejoin calls for *distinct* nodes may run
-// concurrently. Per-node state is only ever touched by the caller
-// driving that node, the tally counters are atomic, and the shared
-// dirty flag is an atomic.Bool, so disjoint-node ingestion is
-// race-free.
-// Everything else (Register, recomputes, w_u reads) stays serialized
-// by the callers.
+// path. It is not safe for concurrent use: the simulator drives it
+// from its one event loop, the testbed gateway guards it with its
+// mutex, and the LNS daemon gives each shard a private Server owned by
+// one worker.
 type Server struct {
 	model    battery.Model
 	tempC    float64
@@ -55,11 +55,10 @@ type Server struct {
 	// degrAt is the grid instant of the latest RecomputeDegrAt (noneYet
 	// before the first, and after a Restore); dirty marks tracker/fleet
 	// mutations since then, letting a repeated barrier at the same
-	// instant skip the O(nodes) degradation pass. Atomic: concurrent
-	// disjoint-node ingestion sets it (see the type comment).
+	// instant skip the O(nodes) degradation pass.
 	clock  simtime.Time
 	degrAt simtime.Time
-	dirty  atomic.Bool
+	dirty  bool
 
 	// Observability handles; nil (no-op) unless SetObserver installed
 	// them.
@@ -124,10 +123,11 @@ func New(model battery.Model, tempC float64, interval simtime.Duration) (*Server
 // replaced. A node that merely restarted (brownout, firmware reboot)
 // must go through Rejoin, which keeps both the degradation history and
 // the watermarks; the simulator's brownout path and the testbed gateway
-// do so, and TestSimBrownoutRejoinsNeverReregisters pins it. Negative
-// IDs are rejected (the dense index has no slot for them).
+// do so, and TestSimBrownoutRejoinsNeverReregisters pins it. IDs
+// outside [0, maxNodeID] are ignored (the dense index has no slot for
+// them).
 func (s *Server) Register(nodeID int, initialSoC float64) {
-	if nodeID < 0 {
+	if nodeID < 0 || nodeID > maxNodeID {
 		return
 	}
 	s.cRegisters.Inc()
@@ -144,7 +144,7 @@ func (s *Server) Register(nodeID int, initialSoC float64) {
 		s.numNodes++
 	}
 	s.nodes[nodeID] = st
-	s.dirty.Store(true)
+	s.dirty = true
 }
 
 // state returns the node's state or nil when unregistered.
@@ -169,7 +169,7 @@ func (s *Server) Rejoin(nodeID int, currentSoC float64) {
 	}
 	s.cRejoins.Inc()
 	st.tracker.Push(currentSoC)
-	s.dirty.Store(true)
+	s.dirty = true
 }
 
 // NumNodes returns how many nodes are registered.
@@ -202,7 +202,7 @@ func (s *Server) Ingest(nodeID int, reports []battery.Report, packetAt simtime.T
 		return
 	}
 	s.cPackets.Inc()
-	s.dirty.Store(true)
+	s.dirty = true
 	st.lastPacketAt = packetAt
 	newest := st.lastReportAt
 	for _, r := range reports {
@@ -260,7 +260,7 @@ func (s *Server) GridInstant() simtime.Time { return GridInstant(s.clock, s.inte
 // the same instant (the evaluation is a pure function of tracker state
 // and instant, so skipping cannot change any observable).
 func (s *Server) RecomputeDegrAt(now simtime.Time) (dmax float64, ran bool) {
-	if s.dirty.Load() || s.degrAt != now {
+	if s.dirty || s.degrAt != now {
 		for _, st := range s.nodes {
 			if st == nil {
 				continue
@@ -268,7 +268,7 @@ func (s *Server) RecomputeDegrAt(now simtime.Time) (dmax float64, ran bool) {
 			st.degr = st.tracker.Degradation(simtime.Duration(now))
 		}
 		s.degrAt = now
-		s.dirty.Store(false)
+		s.dirty = false
 		s.cRecomputes.Inc()
 		ran = true
 	}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/simtime"
 )
 
-func newTestServer(t *testing.T) *Server {
+func newTestServer(t testing.TB) *Server {
 	t.Helper()
 	s, err := New(battery.DefaultModel(), 25, simtime.Day)
 	if err != nil {

@@ -97,6 +97,9 @@ func Restore(snap *Snapshot) (*Server, error) {
 		if ns.ID <= prev {
 			return nil, fmt.Errorf("netserver: snapshot nodes not ascending (%d after %d)", ns.ID, prev)
 		}
+		if ns.ID > maxNodeID {
+			return nil, fmt.Errorf("netserver: snapshot node %d above maxNodeID %d", ns.ID, maxNodeID)
+		}
 		prev = ns.ID
 		st := &nodeState{
 			tracker:      battery.RestoreTracker(snap.Model, snap.TempC, ns.Tracker),

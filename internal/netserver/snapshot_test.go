@@ -98,7 +98,7 @@ func TestRegisterResetsWatermarksReplayHazard(t *testing.T) {
 // buildBusyServer ingests a few days of cycling reports for three nodes
 // and recomputes, leaving non-trivial tracker, watermark, and clock
 // state behind.
-func buildBusyServer(t *testing.T) *Server {
+func buildBusyServer(t testing.TB) *Server {
 	t.Helper()
 	s := newTestServer(t)
 	window := simtime.Minute
@@ -268,6 +268,16 @@ func TestRestoreRejectsForeignSchema(t *testing.T) {
 	bad.Nodes = []NodeSnapshot{{ID: 3}, {ID: 3}}
 	if _, err := Restore(bad); err == nil {
 		t.Error("Restore accepted non-ascending node IDs")
+	}
+	huge := newTestServer(t).Snapshot()
+	huge.Nodes = []NodeSnapshot{{ID: 1}, {ID: maxNodeID + 1}}
+	if _, err := Restore(huge); err == nil {
+		t.Errorf("Restore accepted node ID %d above maxNodeID", maxNodeID+1)
+	}
+	s := newTestServer(t)
+	s.Register(maxNodeID+1, 0.5)
+	if s.NumNodes() != 0 || len(s.nodes) != 0 {
+		t.Errorf("Register(%d) admitted a node above maxNodeID", maxNodeID+1)
 	}
 }
 
