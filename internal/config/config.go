@@ -11,6 +11,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/faults"
 	"repro/internal/lora"
+	"repro/internal/netserver"
 	"repro/internal/radio"
 	"repro/internal/simtime"
 	"repro/internal/utility"
@@ -218,6 +219,8 @@ func (s Scenario) Validate() error {
 	switch {
 	case s.Nodes <= 0:
 		return fmt.Errorf("config: nodes %d must be positive", s.Nodes)
+	case s.Nodes > netserver.MaxNodeID+1:
+		return fmt.Errorf("config: nodes %d above the network server's %d", s.Nodes, netserver.MaxNodeID+1)
 	case s.MaxDistanceM <= 0:
 		return fmt.Errorf("config: max distance %v must be positive", s.MaxDistanceM)
 	case s.Channels <= 0:

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/lora"
+	"repro/internal/netserver"
 	"repro/internal/simtime"
 	"repro/internal/utility"
 )
@@ -61,6 +62,7 @@ func TestValidateRejections(t *testing.T) {
 		mutate func(*Scenario)
 	}{
 		{"zero nodes", func(s *Scenario) { s.Nodes = 0 }},
+		{"more nodes than the server indexes", func(s *Scenario) { s.Nodes = netserver.MaxNodeID + 2 }},
 		{"zero distance", func(s *Scenario) { s.MaxDistanceM = 0 }},
 		{"zero channels", func(s *Scenario) { s.Channels = 0 }},
 		{"zero demodulators", func(s *Scenario) { s.Demodulators = 0 }},
@@ -116,6 +118,7 @@ func TestValidateAcceptsVariants(t *testing.T) {
 		{"multi gateway", func(s *Scenario) { s.Gateways = 4 }},
 		{"custom utility", func(s *Scenario) { s.Utility = utility.Deadline{Fraction: 0.5} }},
 		{"perfect forecast", func(s *Scenario) { s.Forecast = ForecastPerfect }},
+		{"as many nodes as the server indexes", func(s *Scenario) { s.Nodes = netserver.MaxNodeID + 1 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

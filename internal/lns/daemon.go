@@ -1,7 +1,6 @@
 package lns
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -347,8 +346,15 @@ func (d *Daemon) offer(sh *shard, uplinks []Uplink) bool {
 }
 
 // RegisterAll applies registrations on each owning shard's worker,
-// preserving the request order within every shard.
-func (d *Daemon) RegisterAll(nodes []RegisterNode) {
+// preserving the request order within every shard. A node ID outside
+// [0, netserver.MaxNodeID] refuses the whole request before any node
+// is applied.
+func (d *Daemon) RegisterAll(nodes []RegisterNode) error {
+	for _, n := range nodes {
+		if n.Node < 0 || n.Node > netserver.MaxNodeID {
+			return fmt.Errorf("node %d outside [0, %d]", n.Node, netserver.MaxNodeID)
+		}
+	}
 	groups := make([][]RegisterNode, len(d.shards))
 	for _, n := range nodes {
 		i := ShardOf(n.Node, len(d.shards))
@@ -365,6 +371,7 @@ func (d *Daemon) RegisterAll(nodes []RegisterNode) {
 			}
 		}
 	})
+	return nil
 }
 
 // RecomputeAt runs a barrier recompute with the virtual clock advanced
@@ -441,34 +448,6 @@ func (d *Daemon) RestoreState(snap *netserver.Snapshot) error {
 // payloads stays far below it.
 const maxBodyBytes = 64 << 20
 
-// bodyBufs recycles POST /v1/uplinks read buffers: decodeBatch copies
-// every value out, so a buffer is free again once it returns.
-var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledBody bounds the read buffers kept for reuse: one outsized
-// request must not pin its buffer for the daemon's lifetime.
-const maxPooledBody = 1 << 20
-
-// readBatch reads a POST /v1/uplinks body, bounded like decodeBody,
-// into a pooled buffer and decodes it with decodeBatch. A declared
-// length over the bound is refused before any byte is read.
-func readBatch(w http.ResponseWriter, r *http.Request) (Batch, error) {
-	if r.ContentLength > maxBodyBytes {
-		return Batch{}, fmt.Errorf("body of %d bytes exceeds the %d-byte limit", r.ContentLength, maxBodyBytes)
-	}
-	buf := bodyBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer func() {
-		if buf.Cap() <= maxPooledBody {
-			bodyBufs.Put(buf)
-		}
-	}()
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
-		return Batch{}, err
-	}
-	return decodeBatch(buf.Bytes())
-}
-
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(v); err != nil {
@@ -528,11 +507,20 @@ func (d *Daemon) Handler() http.Handler {
 		if !decodeBody(w, r, &req) {
 			return
 		}
-		d.RegisterAll(req.Nodes)
+		if err := d.RegisterAll(req.Nodes); err != nil {
+			http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+			return
+		}
 		d.writeJSON(w, http.StatusOK, map[string]int{"registered": len(req.Nodes)})
 	})
 	mux.HandleFunc("POST /v1/uplinks", func(w http.ResponseWriter, r *http.Request) {
-		b, err := readBatch(w, r)
+		// The bound is decodeBody's; a declared length over it is
+		// refused before any byte is read.
+		if r.ContentLength > maxBodyBytes {
+			http.Error(w, fmt.Sprintf("bad request body: %d bytes exceed the %d-byte limit", r.ContentLength, maxBodyBytes), http.StatusBadRequest)
+			return
+		}
+		b, err := decodeBatch(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 		if err != nil {
 			http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 			return

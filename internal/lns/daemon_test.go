@@ -498,7 +498,9 @@ func TestShardRouting(t *testing.T) {
 	for _, n := range nodes {
 		regs = append(regs, RegisterNode{Node: n, SoC: 0.9})
 	}
-	d.RegisterAll(regs)
+	if err := d.RegisterAll(regs); err != nil {
+		t.Fatalf("RegisterAll: %v", err)
+	}
 
 	var ups []Uplink
 	for _, n := range nodes {
@@ -553,7 +555,9 @@ func TestRetryAfterSeconds(t *testing.T) {
 	defer d.Close()
 	ts := httptest.NewServer(d.Handler())
 	defer ts.Close()
-	d.RegisterAll([]RegisterNode{{Node: 0, SoC: 0.9}})
+	if err := d.RegisterAll([]RegisterNode{{Node: 0, SoC: 0.9}}); err != nil {
+		t.Fatalf("RegisterAll: %v", err)
+	}
 
 	started := make(chan struct{})
 	gate := make(chan struct{})
@@ -633,7 +637,9 @@ func TestUplinksRejectsMalformedBodies(t *testing.T) {
 	defer d.Close()
 	ts := httptest.NewServer(d.Handler())
 	defer ts.Close()
-	d.RegisterAll([]RegisterNode{{Node: 0, SoC: tr.Nodes[0].InitialSoC}})
+	if err := d.RegisterAll([]RegisterNode{{Node: 0, SoC: tr.Nodes[0].InitialSoC}}); err != nil {
+		t.Fatalf("RegisterAll: %v", err)
+	}
 
 	const up = `{"node":0,"at_ms":3600000,"window_ms":600000,"reports":[{"ago":1,"soc_q":30000}]}`
 	for name, body := range map[string]string{
@@ -654,16 +660,23 @@ func TestUplinksRejectsMalformedBodies(t *testing.T) {
 		}
 	}
 
-	// The declared length alone refuses this one: a valid batch followed
-	// by whitespace, generated as it is read.
+	// A valid batch followed by whitespace, generated as it is read, one
+	// byte over maxBodyBytes in all. Declared, its length alone refuses
+	// it; undeclared, as a chunked body is, the read bound does, after
+	// buffering the 64 MiB.
 	head := `{"uplinks":[` + up + `]}`
-	req := httptest.NewRequest(http.MethodPost, "/v1/uplinks",
-		io.MultiReader(strings.NewReader(head), io.LimitReader(spaces{}, maxBodyBytes)))
-	req.ContentLength = int64(len(head)) + maxBodyBytes
-	rec := httptest.NewRecorder()
-	d.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("body over maxBodyBytes: status %d, want 400", rec.Code)
+	for _, declared := range []bool{true, false} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/uplinks",
+			io.MultiReader(strings.NewReader(head), io.LimitReader(spaces{}, maxBodyBytes+1-int64(len(head)))))
+		req.ContentLength = -1
+		if declared {
+			req.ContentLength = maxBodyBytes + 1
+		}
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("body over maxBodyBytes, length declared %v: status %d, want 400", declared, rec.Code)
+		}
 	}
 
 	if n := d.queued(); n != 0 {
@@ -678,6 +691,37 @@ func TestUplinksRejectsMalformedBodies(t *testing.T) {
 
 	if got := driveHTTP(t, ts, tr, batches, true, simtime.Day); !bytes.Equal(got, want) {
 		t.Fatalf("w_u after rejected bodies diverged from library path:\nhttp %s\nlib  %s", got, want)
+	}
+}
+
+// TestRegisterRejectsOutOfRangeIDs: POST /v1/register refuses, with a
+// 400 and nothing registered, any request naming a node ID the network
+// server cannot index, rather than answering for nodes it dropped.
+func TestRegisterRejectsOutOfRangeIDs(t *testing.T) {
+	d, err := NewDaemon(Config{Shards: 2})
+	if err != nil {
+		t.Fatalf("NewDaemon: %v", err)
+	}
+	defer d.Close()
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+
+	for _, bad := range []int{-1, netserver.MaxNodeID + 1} {
+		body := fmt.Sprintf(`{"nodes":[{"node":0,"soc":0.9},{"node":%d,"soc":0.5}]}`, bad)
+		resp, err := ts.Client().Post(ts.URL+"/v1/register", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("node %d: POST: %v", bad, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("node %d: status %d, want 400", bad, resp.StatusCode)
+		}
+	}
+	if table := d.WuTable(); len(table) != 0 {
+		t.Errorf("rejected requests registered %d nodes", len(table))
+	}
+	if v := d.Recorder().Counter("netserver.registers").Value(); v != 0 {
+		t.Errorf("netserver.registers = %d after rejected requests, want 0", v)
 	}
 }
 
@@ -703,7 +747,9 @@ func TestBackpressure429(t *testing.T) {
 	ts := httptest.NewServer(d.Handler())
 	defer ts.Close()
 
-	d.RegisterAll([]RegisterNode{{Node: 0, SoC: 0.9}})
+	if err := d.RegisterAll([]RegisterNode{{Node: 0, SoC: 0.9}}); err != nil {
+		t.Fatalf("RegisterAll: %v", err)
+	}
 
 	// Stall the worker on a control job so the queue cannot drain.
 	started := make(chan struct{})

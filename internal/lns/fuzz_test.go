@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzParseObsJSONL feeds arbitrary bytes to the obs JSONL parser. Any
@@ -77,7 +80,7 @@ func FuzzParseObsJSONL(f *testing.F) {
 //	go test -run '^$' -fuzz FuzzDecodeBatch -fuzztime 10s ./internal/lns
 func FuzzDecodeBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if got, err := decodeBatch(data); err == nil {
+		if got, err := decodeBatch(bytes.NewReader(data), int64(len(data))); err == nil {
 			var want Batch
 			if err := json.Unmarshal(data, &want); err != nil {
 				t.Fatalf("decodeBatch accepted what json.Unmarshal rejects (%v): %q", err, data)
@@ -91,7 +94,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
-		got, err := decodeBatch(body)
+		got, err := decodeBatch(bytes.NewReader(body), -1)
 		if err != nil {
 			t.Fatalf("decodeBatch rejected json.Marshal output %s: %v", body, err)
 		}
@@ -144,7 +147,7 @@ func TestDecodeBatchSeedCorpus(t *testing.T) {
 	for _, path := range paths {
 		name := filepath.Base(path)
 		data := readCorpusBytes(t, path)
-		got, err := decodeBatch(data)
+		got, err := decodeBatch(bytes.NewReader(data), int64(len(data)))
 		switch {
 		case strings.HasPrefix(name, "body_"):
 			if err != nil {
@@ -191,4 +194,93 @@ func readCorpusBytes(t *testing.T, path string) []byte {
 		t.Fatalf("%s: %v", path, err)
 	}
 	return []byte(s)
+}
+
+// TestDecodeBatchReaders: decodeBatch reads the body to io.EOF however
+// the reader splits it, with or without a declared size (a declared
+// size only sizes the buffer), returns the reader's error, and decodes
+// a body larger than the pool keeps.
+func TestDecodeBatchReaders(t *testing.T) {
+	small := wideBatch(40)
+	large := wideBatch(20_000)
+	smallBody, err := json.Marshal(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	largeBody, err := json.Marshal(large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(largeBody) <= maxPooledBytes {
+		t.Fatalf("large body of %d bytes fits the %d-byte pool bound", len(largeBody), maxPooledBytes)
+	}
+	n := int64(len(smallBody))
+	for name, c := range map[string]struct {
+		r    io.Reader
+		size int64
+		want Batch
+	}{
+		"declared":         {bytes.NewReader(smallBody), n, small},
+		"undeclared":       {bytes.NewReader(smallBody), -1, small},
+		"declared short":   {bytes.NewReader(smallBody), n / 3, small},
+		"declared long":    {bytes.NewReader(smallBody), 4 * n, small},
+		"one byte a read":  {iotest.OneByteReader(bytes.NewReader(smallBody)), -1, small},
+		"half reads":       {iotest.HalfReader(bytes.NewReader(smallBody)), n, small},
+		"EOF with data":    {iotest.DataErrReader(bytes.NewReader(smallBody)), n, small},
+		"large declared":   {bytes.NewReader(largeBody), int64(len(largeBody)), large},
+		"large undeclared": {bytes.NewReader(largeBody), -1, large},
+		"large half reads": {iotest.HalfReader(bytes.NewReader(largeBody)), -1, large},
+	} {
+		got, err := decodeBatch(c.r, c.size)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		} else if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: decoded batch differs from the one marshalled", name)
+		}
+	}
+
+	errRead := errors.New("connection reset")
+	if _, err := decodeBatch(io.MultiReader(bytes.NewReader(smallBody[:n/2]), iotest.ErrReader(errRead)), n); !errors.Is(err, errRead) {
+		t.Errorf("read error: got %v, want %v", err, errRead)
+	}
+}
+
+// TestDecodeBatchAllocs: a parser sized by one body reads the next as
+// large without growing its buffer, and parsing builds the batch in two
+// allocations, the []Uplink and the flat []WireReport.
+func TestDecodeBatchAllocs(t *testing.T) {
+	body, err := json.Marshal(wideBatch(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := new(batchParser)
+	if err := p.read(bytes.NewReader(body), int64(len(body))); err != nil {
+		t.Fatal(err)
+	}
+	buf := &p.b[:1][0]
+	if err := p.read(bytes.NewReader(body), int64(len(body))); err != nil {
+		t.Fatal(err)
+	}
+	if &p.b[:1][0] != buf {
+		t.Error("reading an equal-sized body grew the buffer")
+	}
+	if _, err := p.parse(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { p.parse() }); allocs != 2 {
+		t.Errorf("parse: %v allocations, want 2", allocs)
+	}
+}
+
+// wideBatch is n uplinks of eight reports each, at seven-digit node IDs.
+func wideBatch(n int) Batch {
+	b := Batch{Uplinks: make([]Uplink, n)}
+	for i := range b.Uplinks {
+		u := Uplink{Node: 1_000_000 + i, AtMs: 86_400_000 + int64(i), WindowMs: 600_000}
+		for k := range 8 {
+			u.Reports = append(u.Reports, WireReport{Ago: uint16(k), SoCQ: uint16(30_000 + 97*k + i)})
+		}
+		b.Uplinks[i] = u
+	}
+	return b
 }

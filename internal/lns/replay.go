@@ -67,6 +67,9 @@ func ParseObsJSONL(r io.Reader) (*Trace, error) {
 				tr.SampleEvery = simtime.Duration(l.SampleEveryMs)
 			}
 		case "sample":
+			if l.Node < 0 || l.Node > netserver.MaxNodeID {
+				return nil, fmt.Errorf("lns: obs jsonl line %d: node %d outside [0, %d]", lineNo, l.Node, netserver.MaxNodeID)
+			}
 			nt, ok := byNode[l.Node]
 			if !ok {
 				nt = &NodeTrace{ID: l.Node}

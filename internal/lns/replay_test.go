@@ -1,11 +1,13 @@
 package lns
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/netserver"
 	"repro/internal/simtime"
 )
 
@@ -108,6 +110,12 @@ func TestParseObsJSONLErrors(t *testing.T) {
 	}
 	if _, err := ParseObsJSONL(strings.NewReader("not json\n")); err == nil {
 		t.Error("malformed line should be an error")
+	}
+	for _, node := range []int{-1, netserver.MaxNodeID + 1} {
+		line := fmt.Sprintf(`{"t":"sample","node":%d,"at_ms":0,"soc":0.5}`+"\n", node)
+		if _, err := ParseObsJSONL(strings.NewReader(line)); err == nil {
+			t.Errorf("node %d outside [0, MaxNodeID] should be an error", node)
+		}
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"unsafe"
 
 	"repro/internal/netserver"
 )
@@ -57,10 +58,12 @@ type Batch struct {
 	Uplinks []Uplink `json:"uplinks"`
 }
 
-// decodeBatch parses a POST /v1/uplinks body in one pass, without
-// reflection. It accepts a strict subset of what encoding/json decodes
-// into a Batch: everything json.Marshal(Batch) writes, with JSON
-// whitespace anywhere and keys in any order, and nothing else —
+// decodeBatch reads a POST /v1/uplinks body from r to its end and
+// parses it in one pass, without reflection. size is the body's
+// declared length, or -1 when it is unknown. It accepts a strict subset
+// of what encoding/json decodes into a Batch: everything
+// json.Marshal(Batch) writes, with JSON whitespace anywhere and keys in
+// any order, and nothing else —
 //
 //   - exact-case known keys only, written without escapes, each at most
 //     once per object;
@@ -68,32 +71,35 @@ type Batch struct {
 //     leading zero) and the field's range; ago and soc_q take no sign;
 //   - no null, no strings, nothing but whitespace after the object.
 //
-// The result never aliases body. It takes two allocations, the
-// []Uplink and one flat []WireReport that every uplink's Reports is a
-// full slice expression of; as with json.Unmarshal, Reports is non-nil
-// exactly when the uplink has a "reports" array, and Uplinks exactly
-// when the body has an "uplinks" array.
-func decodeBatch(body []byte) (Batch, error) {
+// The result never aliases the read buffer. It takes two allocations,
+// the []Uplink and one flat []WireReport that every uplink's Reports is
+// a full slice expression of; as with json.Unmarshal, Reports is
+// non-nil exactly when the uplink has a "reports" array, and Uplinks
+// exactly when the body has an "uplinks" array.
+func decodeBatch(r io.Reader, size int64) (Batch, error) {
 	p := batchParsers.Get().(*batchParser)
-	b, err := p.parse(body)
-	p.b = nil // the pool must not pin the caller's buffer
-	// Scratch grown by an outsized body is left to the collector.
-	if cap(p.ups) <= maxPooledUplinks && cap(p.reports) <= 16*maxPooledUplinks {
-		batchParsers.Put(p)
+	defer p.release()
+	if err := p.read(r, size); err != nil {
+		return Batch{}, err
 	}
-	return b, err
+	return p.parse()
 }
 
-// maxPooledUplinks bounds the scratch a pooled parser keeps: four
-// thousand uplinks, far above the 64 per request loadgen sends.
-const maxPooledUplinks = 1 << 12
+// maxPooledBytes bounds what a pooled parser keeps, read buffer and
+// scratch together. The largest batches in this tree, the 4096-uplink,
+// eight-report bodies of BenchmarkLNSIngestSharded, take 1.1 MB of
+// buffer and 0.3 MB of scratch at seven-digit node IDs; loadgen's
+// 64-uplink bodies take under 20 KB. A parser grown past the bound by
+// an outsized body is left to the collector.
+const maxPooledBytes = 4 << 20
 
 var batchParsers = sync.Pool{New: func() any { return new(batchParser) }}
 
-// batchParser is decodeBatch's cursor and scratch. The scratch holds
-// the decoded values until their counts are known; the Batch is then
-// built in exact-size allocations, so no scratch reaches the shard
-// lanes and a parser is free for reuse as soon as parse returns.
+// batchParser is decodeBatch's read buffer, cursor and scratch. The
+// scratch holds the decoded values until their counts are known; the
+// Batch is then built in exact-size allocations, so nothing the parser
+// owns reaches the shard lanes and it is free for reuse as soon as
+// decodeBatch returns.
 type batchParser struct {
 	b       []byte
 	i       int
@@ -109,8 +115,47 @@ type parsedUplink struct {
 	reports        int
 }
 
-func (p *batchParser) parse(body []byte) (Batch, error) {
-	p.b, p.i = body, 0
+// read fills the parser's buffer with r's bytes up to io.EOF. A
+// declared size sizes the buffer once, one byte over so that the read
+// which meets io.EOF needs no growth; the up-front size stops at
+// maxPooledBytes, so a client that declares a huge body and sends none
+// of it is not given the memory in advance.
+func (p *batchParser) read(r io.Reader, size int64) error {
+	want := 512
+	if size >= 0 {
+		want = int(min(size, maxPooledBytes)) + 1
+	}
+	b := p.b[:0]
+	if cap(b) < want {
+		b = make([]byte, 0, want)
+	}
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			p.b = b
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+	}
+}
+
+// release returns the parser to the pool unless it outgrew
+// maxPooledBytes.
+func (p *batchParser) release() {
+	kept := cap(p.b) + cap(p.ups)*int(unsafe.Sizeof(parsedUplink{})) + cap(p.reports)*int(unsafe.Sizeof(WireReport{}))
+	if kept <= maxPooledBytes {
+		batchParsers.Put(p)
+	}
+}
+
+func (p *batchParser) parse() (Batch, error) {
+	p.i = 0
 	p.ups, p.reports = p.ups[:0], p.reports[:0]
 	found, err := p.batch()
 	if err != nil || !found {

@@ -19,7 +19,7 @@ import (
 //
 // Seeds: the committed schema-2 snapshot, a schema-3 one with nodes in
 // several shard blocks, that one truncated, and that one with a node ID
-// above maxNodeID. Run beyond them with
+// above MaxNodeID. Run beyond them with
 //
 //	go test -run '^$' -fuzz FuzzRestore -fuzztime 10s ./internal/netserver
 func FuzzRestore(f *testing.F) {

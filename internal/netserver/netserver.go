@@ -21,12 +21,14 @@ import (
 	"repro/internal/simtime"
 )
 
-// maxNodeID is the largest node ID the server admits. The per-node
-// index is dense, so one huge ID from a request or a snapshot would
-// otherwise allocate a slot for every smaller ID; four million slots
-// (32 MiB of index) leave room above the largest fleet in this tree,
-// a million nodes.
-const maxNodeID = 1<<22 - 1
+// MaxNodeID is the largest node ID the server admits. The per-node
+// index is dense, so one huge ID would allocate a slot for every
+// smaller ID; four million slots (32 MiB of index) leave room above the
+// largest fleet in this tree, a million nodes. Every way an ID enters
+// from outside refuses one beyond it with an error — Scenario.Validate,
+// lns.ParseObsJSONL, POST /v1/register and Restore — so Register may
+// treat one as a caller's bug.
+const MaxNodeID = 1<<22 - 1
 
 // noneYet marks "no packet/report seen yet" in the per-node watermarks;
 // simulation time starts at 0, so any real instant exceeds it.
@@ -123,12 +125,12 @@ func New(model battery.Model, tempC float64, interval simtime.Duration) (*Server
 // replaced. A node that merely restarted (brownout, firmware reboot)
 // must go through Rejoin, which keeps both the degradation history and
 // the watermarks; the simulator's brownout path and the testbed gateway
-// do so, and TestSimBrownoutRejoinsNeverReregisters pins it. IDs
-// outside [0, maxNodeID] are ignored (the dense index has no slot for
-// them).
+// do so, and TestSimBrownoutRejoinsNeverReregisters pins it. An ID
+// outside [0, MaxNodeID] panics: the dense index has no slot for it,
+// and silently dropping the node would leave it out of every w_u.
 func (s *Server) Register(nodeID int, initialSoC float64) {
-	if nodeID < 0 || nodeID > maxNodeID {
-		return
+	if nodeID < 0 || nodeID > MaxNodeID {
+		panic(fmt.Sprintf("netserver: Register of node %d outside [0, %d]", nodeID, MaxNodeID))
 	}
 	s.cRegisters.Inc()
 	st := &nodeState{

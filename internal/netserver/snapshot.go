@@ -97,8 +97,8 @@ func Restore(snap *Snapshot) (*Server, error) {
 		if ns.ID <= prev {
 			return nil, fmt.Errorf("netserver: snapshot nodes not ascending (%d after %d)", ns.ID, prev)
 		}
-		if ns.ID > maxNodeID {
-			return nil, fmt.Errorf("netserver: snapshot node %d above maxNodeID %d", ns.ID, maxNodeID)
+		if ns.ID > MaxNodeID {
+			return nil, fmt.Errorf("netserver: snapshot node %d above MaxNodeID %d", ns.ID, MaxNodeID)
 		}
 		prev = ns.ID
 		st := &nodeState{

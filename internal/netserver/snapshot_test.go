@@ -270,14 +270,29 @@ func TestRestoreRejectsForeignSchema(t *testing.T) {
 		t.Error("Restore accepted non-ascending node IDs")
 	}
 	huge := newTestServer(t).Snapshot()
-	huge.Nodes = []NodeSnapshot{{ID: 1}, {ID: maxNodeID + 1}}
+	huge.Nodes = []NodeSnapshot{{ID: 1}, {ID: MaxNodeID + 1}}
 	if _, err := Restore(huge); err == nil {
-		t.Errorf("Restore accepted node ID %d above maxNodeID", maxNodeID+1)
+		t.Errorf("Restore accepted node ID %d above MaxNodeID", MaxNodeID+1)
 	}
-	s := newTestServer(t)
-	s.Register(maxNodeID+1, 0.5)
-	if s.NumNodes() != 0 || len(s.nodes) != 0 {
-		t.Errorf("Register(%d) admitted a node above maxNodeID", maxNodeID+1)
+}
+
+// TestRegisterPanicsOutOfRange: Register refuses an ID the dense index
+// has no slot for loudly, never by dropping the node; the entry points
+// refuse such IDs with an error before they get here.
+func TestRegisterPanicsOutOfRange(t *testing.T) {
+	for _, id := range []int{-1, MaxNodeID + 1} {
+		s := newTestServer(t)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Register(%d) did not panic", id)
+				}
+			}()
+			s.Register(id, 0.5)
+		}()
+		if s.NumNodes() != 0 || len(s.nodes) != 0 {
+			t.Errorf("Register(%d) admitted the node", id)
+		}
 	}
 }
 
