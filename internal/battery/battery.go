@@ -166,22 +166,21 @@ func (b *Battery) Step(now simtime.Time, net float64) {
 // state, transitions, sample count and every later degradation query —
 // ends exactly as per-minute Charge(end, net) calls for net >= 0 and
 // Discharge(end, −net) calls for net < 0 would leave it, while most
-// minutes skip the degradation query and the SoC push those calls make:
+// minutes skip the degradation query, and a falling run its SoC pushes:
 //
 //   - a charging minute inside the at-capacity span (skipUntil) does
 //     nothing, which is what the rejected Charge would do;
 //   - a charging minute inside the full-accept span (fastUntil,
 //     fastLimit) adds net and pushes its SoC, which is what the
 //     full-accepting Charge would do, minus its degradation query;
-//   - a run of such minutes after one that left the counter rising, or
-//     a run of discharging minutes after one that left it falling,
-//     collapses to one Counter.ExtendRun: the stored-energy chain is the
-//     identical one operation per minute (never a summed batch, which
-//     would re-associate), every step is positive, so the interior SoC
-//     samples of the run are non-decreasing (or non-increasing) — never
+//   - a run of discharging minutes after one that left the counter
+//     falling collapses to one Counter.ExtendRun: the stored-energy
+//     chain is the identical one operation per minute (never a summed
+//     batch, which would re-associate), every step is negative, so the
+//     interior SoC samples of the run are non-increasing — never
 //     turning points, never transitions — and only the final one
-//     matters. A discharge run goes on through minutes on an empty
-//     battery, which supply nothing and push nothing.
+//     matters. The run goes on through minutes on an empty battery,
+//     which supply nothing and push nothing.
 //
 // The first charging minute past the full-accept span proves a new one
 // through the end of the next day before it charges (see charge), and a
@@ -201,20 +200,7 @@ func (b *Battery) Minutes(first simtime.Time, powW []float64, baseJ, extraJ floa
 		case net > 0 && now <= b.skipUntil:
 			// At capacity: the Charge would reject without mutating.
 		case net > 0:
-			if !b.charge(now, net) || c.dir != +1 || b.lastDir != +1 {
-				continue
-			}
-			stored, pushes := b.stored, 0
-			for ; k < len(powW); k++ {
-				net := powW[k]*60.0 - baseJ
-				if net <= 0 || first+simtime.Time(k)*minuteT > b.fastUntil || stored+net > b.fastLimit {
-					break
-				}
-				stored += net
-				pushes++
-			}
-			b.stored = stored
-			c.ExtendRun(b.soc(), pushes)
+			b.charge(now, net)
 		case net < 0:
 			b.Discharge(now, -net)
 			if c.dir != -1 || b.lastDir != -1 {
@@ -238,9 +224,7 @@ func (b *Battery) Minutes(first simtime.Time, powW []float64, baseJ, extraJ floa
 }
 
 // charge applies a charging step of net > 0 joules ending at now, past
-// the at-capacity span, and reports whether it took the proven path (a
-// full accept without the degradation query, whose SoC push the caller
-// may continue with a collapsed run).
+// the at-capacity span.
 //
 // A step past the full-accept span first proves a new one through end,
 // the end of the day after now's: until then every charge pushes a
@@ -278,7 +262,7 @@ func (b *Battery) Minutes(first simtime.Time, powW []float64, baseJ, extraJ floa
 // zero), and a Discharge disarms the span. At theta = 1 the proof fails
 // (capacity fade moves the clamp) and every charging minute at the cap
 // runs the real Charge.
-func (b *Battery) charge(now simtime.Time, net float64) bool {
+func (b *Battery) charge(now simtime.Time, net float64) {
 	if now > b.fastUntil {
 		b.fastUntil = spanEnd(now)
 		b.fastLimit = b.chargeLimit * b.original * (1 - b.tracker.RunCeiling(simtime.Duration(b.fastUntil), b.chargeLimit))
@@ -286,7 +270,7 @@ func (b *Battery) charge(now simtime.Time, net float64) bool {
 	if b.stored+net <= b.fastLimit {
 		b.stored += net
 		b.record(now, +1)
-		return true
+		return
 	}
 	if b.Charge(now, net) < net {
 		end := spanEnd(now)
@@ -295,7 +279,6 @@ func (b *Battery) charge(now simtime.Time, net float64) bool {
 			b.skipUntil = end
 		}
 	}
-	return false
 }
 
 // spanEnd is the end of the day after the one the step ending at now

@@ -305,10 +305,11 @@ func TestDischargeRunMatchesSequentialDischarges(t *testing.T) {
 	}
 }
 
-// TestChargeRunMatchesSequentialCharges pins Minutes' collapsed
-// charging run — the full-accept span proven by its first minute —
-// bit-for-bit against one Charge per minute, and requires every trial
-// to collapse.
+// TestChargeRunMatchesSequentialCharges pins a charging run of Minutes
+// — the full-accept span proven by its first minute, each minute one add
+// and one SoC push without the degradation query — bit-for-bit against
+// one Charge per minute, and requires every trial to stay inside the
+// span.
 func TestChargeRunMatchesSequentialCharges(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xc4a6, 0x2f01))
 	for trial := 0; trial < 200; trial++ {
@@ -336,8 +337,12 @@ func TestChargeRunMatchesSequentialCharges(t *testing.T) {
 			ref.Charge(now+simtime.Time(int64(i)*int64(simtime.Minute)), p*60.0-baseJ)
 		}
 		run.Minutes(now, pows, baseJ, 0)
-		if run.tracker.counter.rev-runRev >= ref.tracker.counter.rev-refRev {
-			t.Fatalf("trial %d: no charging minute collapsed", trial)
+		end := now + simtime.Time(int64(count)*int64(simtime.Minute))
+		if run.fastUntil < end || run.Stored() > run.fastLimit {
+			t.Fatalf("trial %d: the run left the full-accept span", trial)
+		}
+		if got, want := run.tracker.counter.rev-runRev, ref.tracker.counter.rev-refRev; got != want {
+			t.Fatalf("trial %d: %d SoC-history revisions, per-minute %d", trial, got, want)
 		}
 
 		if ref.Stored() != run.Stored() {
@@ -353,10 +358,9 @@ func TestChargeRunMatchesSequentialCharges(t *testing.T) {
 		if refTr, runTr := ref.AppendTransitions(nil), run.AppendTransitions(nil); len(refTr) != len(runTr) {
 			t.Fatalf("trial %d: transitions %v != %v", trial, refTr, runTr)
 		}
-		// The collapsed run must leave the counter mid-run exactly like
-		// the sequential path: a direction flip afterwards still agrees,
+		// The run must leave the counter mid-run exactly like the
+		// sequential path: a direction flip afterwards still agrees,
 		// including the transition it reports.
-		end := now + simtime.Time(int64(count)*int64(simtime.Minute))
 		ref.Discharge(end, 3)
 		run.Discharge(end, 3)
 		refTr, runTr := ref.AppendTransitions(nil), run.AppendTransitions(nil)
@@ -369,25 +373,25 @@ func TestChargeRunMatchesSequentialCharges(t *testing.T) {
 	}
 }
 
-// TestChargeRunRefusesWrongDirection: Minutes collapses a charging run
-// only once a proven sample has left the counter rising. On a fresh
-// battery (no direction) the first sample establishes the direction,
-// and on a falling run it is a turning point that records a transition.
-// A first step too small to move the stored energy pushes an equal
-// sample: it records the transition but leaves the counter falling, so
-// the turning point comes with the next minute, which must not be
-// collapsed either. Every case must match one Charge per minute, and
-// the minutes after the turning point collapse.
+// TestChargeRunRefusesWrongDirection: a charging run of Minutes that
+// starts with a direction change. On a fresh battery (no direction) the
+// first sample establishes the direction, and on a falling run it is a
+// turning point that records a transition. A first step too small to
+// move the stored energy pushes an equal sample: it records the
+// transition but leaves the counter falling, so the turning point comes
+// with the next minute. Every case must match one Charge per minute,
+// push for push. The name dates from a charging-run collapse that had
+// to refuse these cases.
 func TestChargeRunRefusesWrongDirection(t *testing.T) {
 	for _, c := range []struct {
-		name             string
-		falling          bool
-		first            float64
-		runRevs, seqRevs uint64
+		name    string
+		falling bool
+		first   float64
+		seqRevs uint64
 	}{
-		{"fresh", false, 0.02, 2, 4},
-		{"falling", true, 0.02, 2, 4},
-		{"falling, equal first sample", true, 1e-22, 2, 3},
+		{"fresh", false, 0.02, 4},
+		{"falling", true, 0.02, 4},
+		{"falling, equal first sample", true, 1e-22, 3},
 	} {
 		ref := newTestBattery(t, 100, 0.5)
 		run := newTestBattery(t, 100, 0.5)
@@ -406,8 +410,8 @@ func TestChargeRunRefusesWrongDirection(t *testing.T) {
 		}
 		run.Minutes(now+minuteT, pows, 0, 0)
 		requireTwins(t, 0, ref, run)
-		if got, want := run.tracker.counter.rev-runRev, ref.tracker.counter.rev-refRev; got != c.runRevs || want != c.seqRevs {
-			t.Fatalf("%s: %d revisions for the run, per-minute %d; want %d and %d", c.name, got, want, c.runRevs, c.seqRevs)
+		if got, want := run.tracker.counter.rev-runRev, ref.tracker.counter.rev-refRev; got != c.seqRevs || want != c.seqRevs {
+			t.Fatalf("%s: %d revisions for the run, per-minute %d; want %d", c.name, got, want, c.seqRevs)
 		}
 		if tr := run.AppendTransitions(nil); c.falling != (len(tr) == 1) || c.falling && tr[0].At != now+minuteT {
 			t.Fatalf("%s: transitions %v", c.name, tr)

@@ -49,13 +49,13 @@ type minutesPlan struct {
 	calls            []minutesCall
 }
 
-// twinRuns counts, over a schedule, the spans and collapsed runs the
+// twinRuns counts, over a schedule, the span and collapsed runs the
 // Minutes path took: calls after which the at-capacity span was armed,
-// and all-charging and all-discharging calls that needed fewer SoC-history
-// revisions than the per-minute path (a collapsed rising or falling run;
-// nothing else changes the revision count).
+// and all-discharging calls that needed fewer SoC-history revisions than
+// the per-minute path (a collapsed falling run; nothing else changes the
+// revision count).
 type twinRuns struct {
-	skipArmed, rising, falling int
+	skipArmed, falling int
 }
 
 // runTwins drives two batteries through the plan — ref one Charge or
@@ -97,24 +97,19 @@ func runTwins(t *testing.T, p minutesPlan) twinRuns {
 		pows := p.pow[m:min(m+c.minutes, len(p.pow))]
 		first := cursor + minuteT
 		refRev, runRev := ref.tracker.counter.rev, run.tracker.counter.rev
-		pos, neg := true, true
+		neg := true
 		for k, pw := range pows {
 			net := pw*60.0 - p.baseJ
 			if k == 0 {
 				net -= extra
 			}
-			pos, neg = pos && net > 0, neg && net < 0
+			neg = neg && net < 0
 			seqStep(ref, first+simtime.Time(k)*minuteT, net)
 		}
 		run.Minutes(first, pows, p.baseJ, extra)
 		cursor += simtime.Time(len(pows)) * minuteT
-		if len(pows) > 0 && ref.tracker.counter.rev-refRev > run.tracker.counter.rev-runRev {
-			if pos {
-				runs.rising++
-			}
-			if neg {
-				runs.falling++
-			}
+		if neg && len(pows) > 0 && ref.tracker.counter.rev-refRev > run.tracker.counter.rev-runRev {
+			runs.falling++
 		}
 		if run.skipUntil != 0 {
 			runs.skipArmed++
@@ -199,12 +194,12 @@ func randomPlan(rng *rand.Rand, theta float64) minutesPlan {
 }
 
 // TestMinutesMatchesSequential is the battery-level oracle for the
-// charge spans and run collapses: on random solar traces with nights,
-// cloudy dips, partial minutes and radio draws, at theta 0.5, 0.9 and
-// 1, from random initial SoC and at three aging rates, Step and
+// charge spans and the falling-run collapse: on random solar traces with
+// nights, cloudy dips, partial minutes and radio draws, at theta 0.5,
+// 0.9 and 1, from random initial SoC and at three aging rates, Step and
 // Minutes must leave the battery bit-identical to one Charge or
-// Discharge per step. The test fails if the at-capacity span, the
-// collapsed charging run or the collapsed discharging run never arms.
+// Discharge per step. The test fails if the at-capacity span or the
+// collapsed discharging run never arms.
 func TestMinutesMatchesSequential(t *testing.T) {
 	trials := 200
 	if testing.Short() {
@@ -216,15 +211,14 @@ func TestMinutesMatchesSequential(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(trial), math.Float64bits(theta)))
 			r := runTwins(t, randomPlan(rng, theta))
 			total.skipArmed += r.skipArmed
-			total.rising += r.rising
 			total.falling += r.falling
 		}
 	}
-	t.Logf("calls after which the at-capacity span was armed %d, collapsed charging calls %d, collapsed discharging calls %d",
-		total.skipArmed, total.rising, total.falling)
-	if total.skipArmed == 0 || total.rising == 0 || total.falling == 0 {
-		t.Fatalf("vacuous oracle: at-capacity span armed after %d calls, collapsed charging runs in %d calls, discharging runs in %d",
-			total.skipArmed, total.rising, total.falling)
+	t.Logf("calls after which the at-capacity span was armed %d, collapsed discharging calls %d",
+		total.skipArmed, total.falling)
+	if total.skipArmed == 0 || total.falling == 0 {
+		t.Fatalf("vacuous oracle: at-capacity span armed after %d calls, collapsed discharging runs in %d calls",
+			total.skipArmed, total.falling)
 	}
 }
 
@@ -232,8 +226,8 @@ func TestMinutesMatchesSequential(t *testing.T) {
 // is one rising run that lasts days, longer than the full-accept span
 // any of its minutes proves (to the end of the next day). At fast aging
 // the capacity fade after the span's end pushes the real cap below the
-// proven limit, so a collapsed run that read past the span would accept
-// charge the per-minute path clamps.
+// proven limit, so a charge that kept using the limit past the span
+// would accept charge the per-minute path clamps.
 func TestMinutesChargingRunOutlivesItsSpan(t *testing.T) {
 	for _, aging := range []float64{10, 1000} {
 		for _, theta := range []float64{0.5, 1} {

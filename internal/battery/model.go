@@ -9,7 +9,7 @@
 // A Battery enforces theta and accounts its own degradation, and it
 // alone decides when a minute may skip that accounting: Battery.Minutes
 // and Battery.Step apply a node's energy balance minute by minute with
-// the charge spans and monotone-run collapses they prove, leaving every
+// the charge spans and falling-run collapse they prove, leaving every
 // observable exactly as one Charge or Discharge per minute would.
 package battery
 

@@ -143,10 +143,10 @@ func TestCounterSnapshotIsolated(t *testing.T) {
 }
 
 // TestTrackerSnapshotAfterSpanRuns extends the round-trip proof to
-// span-integrated histories: the SoC trace is produced by the collapsed
-// runs of Battery.Minutes (the node integrator's path), the
-// tracker is snapshotted mid-run, serialized, restored, and both sides
-// then continue through more spans. Every Damage query must stay
+// span-integrated histories: the SoC trace is produced by the spans and
+// collapsed falling runs of Battery.Minutes (the node integrator's
+// path), the tracker is snapshotted mid-run, serialized, restored, and
+// both sides then continue through more spans. Every Damage query must stay
 // bit-identical — the counter state ExtendRun leaves behind (run length,
 // pending extremum, direction, stack) must survive persistence exactly.
 func TestTrackerSnapshotAfterSpanRuns(t *testing.T) {
@@ -162,9 +162,9 @@ func TestTrackerSnapshotAfterSpanRuns(t *testing.T) {
 		orig := build()
 		now := simtime.Time(simtime.Hour)
 
-		// spans drives one battery through alternating collapsed runs of
-		// Minutes: a rising span (armed by one real Charge) and a falling
-		// span of dark minutes.
+		// spans drives one battery through alternating runs of Minutes:
+		// a rising span (armed by one real Charge) and a collapsed
+		// falling span of dark minutes.
 		spans := func(b *Battery, phases int) {
 			at := now
 			for p := 0; p < phases; p++ {

@@ -2,7 +2,6 @@ package energy
 
 import (
 	"math/rand/v2"
-	"sync"
 
 	"repro/internal/simtime"
 )
@@ -95,11 +94,7 @@ const minutesPerDay = 24 * 60
 // over the window. It uses only locally available history, matching the
 // constraints the paper places on node-side forecasting.
 type DiurnalEWMA struct {
-	alpha float64
-	// touched records whether any observation was ever folded in; a
-	// pristine profile (never touched) lets Prime consult its cache
-	// without scanning the seen array.
-	touched bool
+	alpha   float64
 	profile [minutesPerDay]float64
 	seen    [minutesPerDay]bool
 	buf     []float64 // reused across ForecastWindows calls
@@ -144,7 +139,6 @@ func (f *DiurnalEWMA) Observe(from, to simtime.Time, energyJ float64) {
 	if to <= from {
 		return
 	}
-	f.touched = true
 	const minuteT = simtime.Time(simtime.Minute)
 	if from >= 0 && from%minuteT == 0 && to-from == minuteT {
 		// Fast path for the integrator's dominant call shape: exactly
@@ -190,7 +184,6 @@ func (f *DiurnalEWMA) Observe(from, to simtime.Time, energyJ float64) {
 // already computed by the caller (the node integrator tracks the minute
 // cursor anyway) and performs the identical arithmetic.
 func (f *DiurnalEWMA) ObserveFullSlot(slot int, energyJ float64) {
-	f.touched = true
 	power := energyJ / 60.0
 	if !f.seen[slot] {
 		f.profile[slot] = power
@@ -206,14 +199,10 @@ func (f *DiurnalEWMA) ObserveFullSlot(slot int, energyJ float64) {
 // ObserveFullSlot(slot+j, pows[j]*60.0) — the energy = power·60 s,
 // power = energy/60 s round trip included, so the result is
 // bit-identical to the per-minute calls it replaces. The node
-// integrator's slot-level charging spans use it to batch a proven run
-// into one walk; spans never cross a day boundary, so slot+len(pows)
-// stays within the day.
+// integrator folds its whole minutes up to the end of a day with one
+// call and Prime folds one training day per call; neither crosses a day
+// boundary, so slot+len(pows) stays within the day.
 func (f *DiurnalEWMA) FoldFullSlots(slot int, pows []float64) {
-	if len(pows) == 0 {
-		return
-	}
-	f.touched = true
 	a := f.alpha
 	for j, p := range pows {
 		power := (p * 60.0) / 60.0
@@ -295,109 +284,16 @@ func (f *DiurnalEWMA) ForecastWindows(t simtime.Time, window simtime.Duration, n
 	return out
 }
 
-// primeKey identifies a primed profile exactly: a nodeSource is a pure
-// function of its trace config and node parameters, so two Prime calls
-// with equal keys fold the identical power sequence and land on
-// bit-identical profiles.
-type primeKey struct {
-	cfg       SolarConfig
-	nodeID    uint64
-	peakW     float64
-	variation float64
-	alpha     float64
-	days      int
-}
-
-// primeCache shares primed profiles across runs in one process. The
-// experiment engine replays the same scenario seeds across protocol
-// variants and sweep points (common random numbers), so every run after
-// the first re-primes the exact same per-node profiles; a hit replaces
-// ~days×1440 EWMA folds with one array copy of the identical bytes.
-// Insertion stops at primeCacheMax entries (≈12 KB each) — a bound, not
-// an eviction policy, so hits stay deterministic in long processes.
-var primeCache = struct {
-	sync.Mutex
-	m map[primeKey]*[minutesPerDay]float64
-}{m: make(map[primeKey]*[minutesPerDay]float64)}
-
-const primeCacheMax = 4096
-
 // Prime trains the profile by replaying the source for the given number
 // of days before deployment, emulating the paper's offline training at
-// the gateway. A MinuteSource is consumed through its per-minute cache:
-// each training observation is exactly one full slot, so the inlined
-// update below is the Observe fast path with the same bit-exact
-// energy = power·60 s, power = energy/60 s round trip.
+// the gateway. Each training observation is exactly one full minute
+// slot, so a MinuteSource is folded a day at a time with FoldFullSlots,
+// the Observe fast path's arithmetic; any other source is replayed
+// through Observe minute by minute.
 func (f *DiurnalEWMA) Prime(src Source, days int) {
-	if ns, ok := src.(*nodeSource); ok {
-		// The cache is only sound for a pristine profile (the cached
-		// result assumes the fold started from the untrained state).
-		pristine := days > 0 && !f.touched
-		var key primeKey
-		if pristine {
-			key = primeKey{
-				cfg:       ns.trace.cfg,
-				nodeID:    ns.nodeID,
-				peakW:     ns.peakW,
-				variation: ns.variation,
-				alpha:     f.alpha,
-				days:      days,
-			}
-			primeCache.Lock()
-			cached := primeCache.m[key]
-			primeCache.Unlock()
-			if cached != nil {
-				f.touched = true
-				f.profile = *cached
-				for m := range f.seen {
-					f.seen[m] = true
-				}
-				return
-			}
-		}
-		// In-package fast path: walk each training day's cached minute
-		// powers directly instead of going through the interface.
-		if days > 0 {
-			f.touched = true
-		}
-		for d := 0; d < days; d++ {
-			ns.ensureDay(int64(d))
-			mp := ns.minuteP
-			for m := 0; m < minutesPerDay; m++ {
-				power := (mp[m] * 60.0) / 60.0
-				if !f.seen[m] {
-					f.profile[m] = power
-					f.seen[m] = true
-					continue
-				}
-				f.profile[m] = f.alpha*power + (1-f.alpha)*f.profile[m]
-			}
-		}
-		if pristine {
-			out := f.profile
-			primeCache.Lock()
-			if len(primeCache.m) < primeCacheMax {
-				primeCache.m[key] = &out
-			}
-			primeCache.Unlock()
-		}
-		return
-	}
 	if ms, ok := src.(MinuteSource); ok {
-		if days > 0 {
-			f.touched = true
-		}
 		for d := 0; d < days; d++ {
-			base := int64(d) * minutesPerDay
-			for m := 0; m < minutesPerDay; m++ {
-				power := (ms.MinutePower(base+int64(m)) * 60.0) / 60.0
-				if !f.seen[m] {
-					f.profile[m] = power
-					f.seen[m] = true
-					continue
-				}
-				f.profile[m] = f.alpha*power + (1-f.alpha)*f.profile[m]
-			}
+			f.FoldFullSlots(0, ms.DayPowers(int64(d)))
 		}
 		return
 	}

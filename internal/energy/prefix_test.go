@@ -70,10 +70,63 @@ func TestEnergyPrefixMatchesMinuteOracle(t *testing.T) {
 	}
 }
 
-// TestPrimeFastPathsMatchObserveReplay: all three Prime branches — the
-// in-package day-cache walk, the generic MinuteSource walk, and the
-// legacy Observe replay — must leave bit-identical profiles, since each
-// training observation is exactly one full minute slot.
+// TestDayPowersMatchesMinuteOracle pins the day fill minute by minute
+// against the one-minute expression peakW · At(m) · localFactor(m),
+// bit for bit: with and without local variation, on days either side of
+// the year-0/1 boundary (where the year factor and its clamp start), on
+// a day where the clamp bites, and past the memoized years, night
+// blocks included.
+func TestDayPowersMatchesMinuteOracle(t *testing.T) {
+	yt := newTestTrace(t, 21)
+	// The clamp min(1, sample·f) bites only near noon of a bright day in
+	// a year whose factor is near its +8% top: take year 0's brightest
+	// day in the year with the largest factor.
+	brightest, top := 0, 1
+	for m, v := range yt.samples {
+		if v > yt.samples[brightest] {
+			brightest = m
+		}
+	}
+	for y := range yt.yearFactor {
+		if yt.yearFactor[y] > yt.yearFactor[top] {
+			top = y
+		}
+	}
+	clampDay := int64(top*365 + brightest/minutesPerDay)
+	if float64(yt.samples[brightest])*yt.yearFactor[top] <= 1 {
+		t.Fatalf("day %d does not clamp; pick another trace seed", clampDay)
+	}
+	days := []int64{0, 1, 172, 363, 364, 365, 366, clampDay, precomputedYears*365 + 7}
+	for _, variation := range []float64{0, 0.25} {
+		src := yt.NodeSource(11, 0.09, variation).(*nodeSource)
+		var night, lit int
+		for _, d := range days {
+			pow := src.DayPowers(d)
+			for m, got := range pow {
+				minute := d*minutesPerDay + int64(m)
+				want := src.peakW * yt.At(minute) * src.localFactor(minute)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("variation %v day %d minute %d: DayPowers = %v, oracle = %v (must be bit-identical)",
+						variation, d, m, got, want)
+				}
+				if want == 0 {
+					night++
+				} else {
+					lit++
+				}
+			}
+		}
+		if night == 0 || lit == 0 {
+			t.Fatalf("variation %v: %d night and %d lit minutes; the oracle must cover both", variation, night, lit)
+		}
+	}
+}
+
+// TestPrimeFastPathsMatchObserveReplay: both Prime paths — the day-wise
+// FoldFullSlots over a MinuteSource and the per-minute Observe walk of
+// a plain Source — must leave the profile a hand-replayed Observe loop
+// leaves, bit for bit, since each training observation is exactly one
+// full minute slot.
 func TestPrimeFastPathsMatchObserveReplay(t *testing.T) {
 	yt := newTestTrace(t, 9)
 	const days = 3
@@ -81,11 +134,11 @@ func TestPrimeFastPathsMatchObserveReplay(t *testing.T) {
 	fast := NewDiurnalEWMA(0.3)
 	fast.Prime(yt.NodeSource(5, 0.09, 0.25), days)
 
-	// Hide the concrete type so Prime takes the generic MinuteSource walk.
-	generic := NewDiurnalEWMA(0.3)
-	generic.Prime(struct{ MinuteSource }{yt.NodeSource(5, 0.09, 0.25).(*nodeSource)}, days)
+	// Hide DayPowers so Prime takes the Observe walk.
+	plain := NewDiurnalEWMA(0.3)
+	plain.Prime(struct{ Source }{yt.NodeSource(5, 0.09, 0.25)}, days)
 
-	// Replay the legacy path by hand: one Observe per simulated minute.
+	// Replay training by hand: one Observe per simulated minute.
 	slow := NewDiurnalEWMA(0.3)
 	src := yt.NodeSource(5, 0.09, 0.25)
 	for d := 0; d < days; d++ {
@@ -97,12 +150,14 @@ func TestPrimeFastPathsMatchObserveReplay(t *testing.T) {
 	}
 
 	for m := 0; m < minutesPerDay; m++ {
-		if fast.profile[m] != slow.profile[m] || fast.seen[m] != slow.seen[m] {
-			t.Fatalf("slot %d: day-cache Prime %v (seen %v), Observe replay %v (seen %v)",
+		want := math.Float64bits(slow.profile[m])
+		if math.Float64bits(fast.profile[m]) != want || fast.seen[m] != slow.seen[m] {
+			t.Fatalf("slot %d: FoldFullSlots Prime %v (seen %v), Observe replay %v (seen %v)",
 				m, fast.profile[m], fast.seen[m], slow.profile[m], slow.seen[m])
 		}
-		if generic.profile[m] != slow.profile[m] {
-			t.Fatalf("slot %d: generic Prime %v, Observe replay %v", m, generic.profile[m], slow.profile[m])
+		if math.Float64bits(plain.profile[m]) != want || plain.seen[m] != slow.seen[m] {
+			t.Fatalf("slot %d: Observe-walk Prime %v (seen %v), Observe replay %v (seen %v)",
+				m, plain.profile[m], plain.seen[m], slow.profile[m], slow.seen[m])
 		}
 	}
 }

@@ -22,17 +22,14 @@ type Source interface {
 	Energy(from, to simtime.Time) float64
 }
 
-// MinuteSource is implemented by sources that can answer per-minute
-// queries in O(1) from a precomputed cache. MinutePower(m) is
-// bit-identical to Power anywhere inside minute m, and
-// MinutePower(m) * 60.0 is bit-identical to Energy over the full
+// MinuteSource is implemented by sources that answer a whole day of
+// per-minute powers from a precomputed cache. DayPowers(d)[m] is
+// bit-identical to Power anywhere inside minute m of day d, and
+// DayPowers(d)[m] * 60.0 is bit-identical to Energy over that full
 // minute — the contract the node integrator and forecaster priming
-// fast paths rely on.
+// rely on.
 type MinuteSource interface {
 	Source
-	// MinutePower returns the harvested power in watts during the
-	// absolute minute [m·1min, (m+1)·1min).
-	MinutePower(minute int64) float64
 	// DayPowers returns the per-minute powers of the given simulated
 	// day, indexed by minute-of-day. The returned slice is the source's
 	// internal cache: it is read-only and valid only until the next
@@ -236,14 +233,8 @@ func (yt *YearTrace) At(minute int64) float64 {
 	if year == 0 {
 		return base
 	}
-	// Year-to-year variability of +-8%, memoized per year.
-	var f float64
-	if year < int64(len(yt.yearFactor)) {
-		f = yt.yearFactor[year]
-	} else {
-		f = 0.92 + 0.16*hash01(yt.cfg.Seed, uint64(year), 0x9e77)
-	}
-	return min(1, base*f)
+	// Year-to-year variability of +-8%.
+	return min(1, base*yt.factorFor(year))
 }
 
 // Config returns the trace configuration.
@@ -256,67 +247,6 @@ func (yt *YearTrace) factorFor(year int64) float64 {
 		return yt.yearFactor[year]
 	}
 	return 0.92 + 0.16*hash01(yt.cfg.Seed, uint64(year), 0x9e77)
-}
-
-// DayBase caches the trace's year-adjusted base powers — the common
-// sub-expression of every node's per-day harvest-cache fill — for the
-// two most recent simulated days, so the float32 conversion and
-// year-factor clamp run once per (trace, day) instead of once per
-// (node, day). Two slots keyed by day parity suffice: the simulator
-// advances all its nodes through days monotonically, with cursors never
-// more than one day apart.
-//
-// A DayBase is not safe for concurrent use; each simulation owns one.
-type DayBase struct {
-	trace *YearTrace
-	day   [2]int64
-	base  [2][]float64
-	// zero marks 4-minute blocks whose base powers are all zero (night):
-	// node fills write +0 there without evaluating the per-node local
-	// cloud factor, which is exact because peakW·0·lf is +0 for any
-	// finite positive peakW and non-negative lf.
-	zero [2][]bool
-}
-
-// NewDayBase returns an empty day-base cache over the trace.
-func (yt *YearTrace) NewDayBase() *DayBase {
-	return &DayBase{trace: yt, day: [2]int64{-1, -1}}
-}
-
-// Day returns the base (normalized, year-adjusted) power of every minute
-// of the given simulated day and the per-4-minute-block all-zero marks.
-// The returned slices are the cache's internal storage: read-only, valid
-// until the next Day call with a different day of the same parity.
-func (db *DayBase) Day(day int64) (base []float64, zeroBlock []bool) {
-	slot := int(day & 1)
-	if db.day[slot] == day {
-		return db.base[slot], db.zero[slot]
-	}
-	if db.base[slot] == nil {
-		db.base[slot] = make([]float64, minutesPerDay)
-		db.zero[slot] = make([]bool, minutesPerDay/4)
-	}
-	b := db.base[slot]
-	start := day * minutesPerDay
-	year := start / minutesPerYear
-	samples := db.trace.samples[start%minutesPerYear : start%minutesPerYear+minutesPerDay]
-	if year == 0 {
-		for m := range b {
-			b[m] = float64(samples[m])
-		}
-	} else {
-		f := db.trace.factorFor(year)
-		for m := range b {
-			b[m] = min(1, float64(samples[m])*f)
-		}
-	}
-	zb := db.zero[slot]
-	for blk := range zb {
-		m := blk * 4
-		zb[blk] = b[m] == 0 && b[m+1] == 0 && b[m+2] == 0 && b[m+3] == 0
-	}
-	db.day[slot] = day
-	return b, zb
 }
 
 // NodeSource derives a node's harvest source from the shared trace.
@@ -341,7 +271,6 @@ type nodeSource struct {
 	nodeID    uint64
 	peakW     float64
 	variation float64
-	db        *DayBase // shared day-base cache; nil falls back to per-node fills
 
 	// Rolling one-day harvest cache (see DESIGN.md "Harvest day
 	// cache"): minuteP holds the harvested power of every minute of
@@ -354,12 +283,6 @@ type nodeSource struct {
 }
 
 var _ MinuteSource = (*nodeSource)(nil)
-
-// SetDayBase attaches a shared day-base cache; subsequent per-day fills
-// read the year-adjusted base powers from it instead of re-deriving them
-// from the float32 trace. The fill expressions are unchanged term for
-// term, so the cached powers are bit-identical with or without it.
-func (s *nodeSource) SetDayBase(db *DayBase) { s.db = db }
 
 // SetMinuteBuf hands the rolling cache a caller-owned backing slice of
 // length minutesPerDay, letting a simulation carve per-node views out
@@ -374,6 +297,14 @@ func (s *nodeSource) SetMinuteBuf(buf []float64) {
 }
 
 // ensureDay (re)fills the rolling cache for the given simulated day.
+// Every minute is peakW * At(m) * localFactor(m), the expression of the
+// one-minute query path, evaluated over 4-minute blocks: a day never
+// straddles a year boundary (the year is a whole number of days), so
+// the base samples and the year factor are fixed for the fill, and day
+// boundaries are block-aligned, so one local factor serves four
+// minutes. A block whose samples are all zero (night) is written +0
+// without the local-factor hash: samples, peakW and the local factor
+// are all >= +0, so the product is +0 either way.
 func (s *nodeSource) ensureDay(day int64) {
 	if s.cacheDay == day {
 		return
@@ -381,101 +312,32 @@ func (s *nodeSource) ensureDay(day int64) {
 	if s.minuteP == nil {
 		s.minuteP = make([]float64, minutesPerDay)
 	}
-	if s.db != nil {
-		s.fillFromBase(day)
-		s.cacheDay = day
-		return
-	}
-	base := day * minutesPerDay
-	// A day never straddles a year boundary (the year is a whole number
-	// of days), so the base-trace samples and the year factor are fixed
-	// for the whole fill; reading them directly inlines YearTrace.At.
-	year := base / minutesPerYear
-	samples := s.trace.samples[base%minutesPerYear : base%minutesPerYear+minutesPerDay]
-	var f float64
-	if year > 0 {
-		if year < int64(len(s.trace.yearFactor)) {
-			f = s.trace.yearFactor[year]
-		} else {
-			f = 0.92 + 0.16*hash01(s.trace.cfg.Seed, uint64(year), 0x9e77)
+	start := day * minutesPerDay
+	year := start / minutesPerYear
+	samples := s.trace.samples[start%minutesPerYear : start%minutesPerYear+minutesPerDay]
+	f := s.trace.factorFor(year)
+	seed := s.trace.cfg.Seed
+	nid := s.nodeID + 0x5bd1e995
+	block := uint64(start >> 2)
+	for m := 0; m < minutesPerDay; m, block = m+4, block+1 {
+		blk, out := samples[m:m+4:m+4], s.minuteP[m:m+4:m+4]
+		if blk[0] == 0 && blk[1] == 0 && blk[2] == 0 && blk[3] == 0 {
+			out[0], out[1], out[2], out[3] = 0, 0, 0, 0
+			continue
 		}
-	}
-	// The fill is split by (variation, year) so the inner loops carry no
-	// per-minute branches; every variant evaluates the same expression
-	// peakW * at * lf in the same order as the one-minute query path.
-	switch {
-	case s.variation == 0 && year == 0:
-		for m := 0; m < minutesPerDay; m++ {
-			s.minuteP[m] = s.peakW * float64(samples[m]) * 1.0
+		lf := 1.0
+		if s.variation != 0 {
+			lf = 1 + s.variation*(2*hash01(seed, nid, block)-1)
 		}
-	case s.variation == 0:
-		for m := 0; m < minutesPerDay; m++ {
-			s.minuteP[m] = s.peakW * min(1, float64(samples[m])*f) * 1.0
-		}
-	default:
-		// localFactor is constant over 4-minute blocks; day boundaries
-		// are block-aligned, so one hash serves four minutes.
-		seed := s.trace.cfg.Seed
-		nid := s.nodeID + 0x5bd1e995
-		block := uint64(base >> 2)
-		for m := 0; m < minutesPerDay; m += 4 {
-			lf := 1 + s.variation*(2*hash01(seed, nid, block)-1)
-			block++
-			if year == 0 {
-				s.minuteP[m] = s.peakW * float64(samples[m]) * lf
-				s.minuteP[m+1] = s.peakW * float64(samples[m+1]) * lf
-				s.minuteP[m+2] = s.peakW * float64(samples[m+2]) * lf
-				s.minuteP[m+3] = s.peakW * float64(samples[m+3]) * lf
-			} else {
-				s.minuteP[m] = s.peakW * min(1, float64(samples[m])*f) * lf
-				s.minuteP[m+1] = s.peakW * min(1, float64(samples[m+1])*f) * lf
-				s.minuteP[m+2] = s.peakW * min(1, float64(samples[m+2])*f) * lf
-				s.minuteP[m+3] = s.peakW * min(1, float64(samples[m+3])*f) * lf
+		for j, v := range blk {
+			base := float64(v)
+			if year > 0 {
+				base = min(1, base*f)
 			}
+			out[j] = s.peakW * base * lf
 		}
 	}
 	s.cacheDay = day
-}
-
-// fillFromBase fills the per-minute cache from the shared day base.
-// Every variant evaluates peakW * base * lf with the same operand values
-// and association as the trace-direct fill (base[m] is exactly
-// float64(samples[m]) in year 0 and min(1, float64(samples[m])*f)
-// after), so the result is bit-identical. Blocks that are all zero skip
-// the local-factor hash: the product is +0 either way.
-func (s *nodeSource) fillFromBase(day int64) {
-	base, zeroBlk := s.db.Day(day)
-	if s.variation == 0 {
-		for m := 0; m < minutesPerDay; m++ {
-			s.minuteP[m] = s.peakW * base[m] * 1.0
-		}
-		return
-	}
-	seed := s.trace.cfg.Seed
-	nid := s.nodeID + 0x5bd1e995
-	block := uint64(day * minutesPerDay >> 2)
-	for m := 0; m < minutesPerDay; m += 4 {
-		if zeroBlk[m>>2] {
-			s.minuteP[m], s.minuteP[m+1], s.minuteP[m+2], s.minuteP[m+3] = 0, 0, 0, 0
-			block++
-			continue
-		}
-		lf := 1 + s.variation*(2*hash01(seed, nid, block)-1)
-		block++
-		s.minuteP[m] = s.peakW * base[m] * lf
-		s.minuteP[m+1] = s.peakW * base[m+1] * lf
-		s.minuteP[m+2] = s.peakW * base[m+2] * lf
-		s.minuteP[m+3] = s.peakW * base[m+3] * lf
-	}
-}
-
-// MinutePower implements MinuteSource.
-func (s *nodeSource) MinutePower(minute int64) float64 {
-	if minute < 0 {
-		return 0
-	}
-	s.ensureDay(minute / minutesPerDay)
-	return s.minuteP[minute%minutesPerDay]
 }
 
 // DayPowers implements MinuteSource.

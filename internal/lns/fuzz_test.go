@@ -77,7 +77,10 @@ func FuzzParseObsJSONL(f *testing.F) {
 // and one input per reject class (reject_*, which must be rejected);
 // TestDecodeBatchSeedCorpus holds the seeds to that. Run beyond it with
 //
-//	go test -run '^$' -fuzz FuzzDecodeBatch -fuzztime 10s ./internal/lns
+//	go test -run '^$' -fuzz FuzzDecodeBatch -fuzztime 10s -fuzzminimizetime 2s ./internal/lns
+//
+// Inputs grown from the 16 KB real bodies take up to a minute each to
+// minimize by default, which would leave a 10 s run little time to fuzz.
 func FuzzDecodeBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if got, err := decodeBatch(bytes.NewReader(data), int64(len(data))); err == nil {

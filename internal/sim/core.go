@@ -1,58 +1,6 @@
 package sim
 
-import (
-	"repro/internal/battery"
-	"repro/internal/simtime"
-)
-
-// soa is the struct-of-arrays node core (DESIGN.md §5g): the
-// integration-hot per-node state lives in contiguous slices indexed by
-// dense node index instead of scattered across per-node heap objects,
-// so the energy integrator, the final results sweep, and the obs
-// sampler walk cache lines. sim.Node stays the API-facing view — mac,
-// faults, and testbed see unchanged types — and holds its index into
-// the arrays.
-type soa struct {
-	// lastIntegrated is the per-node lazy energy-integration cursor.
-	lastIntegrated []simtime.Time
-	// extraDrawJ is radio energy awaiting the next balance chunk (the
-	// Eq. 5 software-defined switch input).
-	extraDrawJ []float64
-	// sleepW60 is 60 s of baseline sleep draw in joules (60.0·sleepW),
-	// the constant subtrahend of every whole-minute balance chunk.
-	sleepW60 []float64
-	// batt is the node's store when it is a plain battery; nil (hybrid
-	// or test stub) routes the node through the generic integrate path.
-	batt []*battery.Battery
-}
-
-// attachCore builds the array core over the node set and wires each
-// node's view into it.
-func attachCore(nodes []*Node) *soa {
-	c := &soa{
-		lastIntegrated: make([]simtime.Time, len(nodes)),
-		extraDrawJ:     make([]float64, len(nodes)),
-		sleepW60:       make([]float64, len(nodes)),
-		batt:           make([]*battery.Battery, len(nodes)),
-	}
-	for i, n := range nodes {
-		n.core, n.idx = c, i
-		c.sleepW60[i] = 60.0 * n.sleepW
-		if b, ok := n.Batt.(*battery.Battery); ok {
-			c.batt[i] = b
-		}
-	}
-	return c
-}
-
-// ensureCore returns the node's array core, lazily attaching a
-// single-node core for bare nodes built outside Simulation.New (tests).
-func (n *Node) ensureCore() (*soa, int) {
-	if n.core == nil {
-		attachCore([]*Node{n})
-	}
-	return n.core, n.idx
-}
+import "repro/internal/simtime"
 
 // dayPowers is the fast kernel's per-node cache of DayPowers: the
 // integrator wakes once per event, so without the cache the dynamic
@@ -72,7 +20,7 @@ func (n *Node) dayPowers(day int64) []float64 {
 }
 
 // debugGenericIntegrate forces every node through the generic
-// integration path; the SoA oracle test uses it to pin the fused kernel
+// integration path; the kernel oracle test uses it to pin the fused kernel
 // bit-for-bit against the reference implementation.
 var debugGenericIntegrate bool
 
@@ -81,34 +29,33 @@ var debugGenericIntegrate bool
 // baseline sleep draw, and battery charge/discharge with the protocol's
 // theta cap applied by the battery itself.
 func (n *Node) Integrate(to simtime.Time) {
-	c, i := n.ensureCore()
-	from := c.lastIntegrated[i]
+	from := n.lastIntegrated
 	if to <= from {
 		return
 	}
-	c.lastIntegrated[i] = to
-	if c.batt[i] != nil && n.srcMin != nil && n.fcEWMA != nil && !debugGenericIntegrate {
-		n.integrateFast(c, i, from, to)
+	n.lastIntegrated = to
+	if n.batt != nil && n.srcMin != nil && n.fcEWMA != nil && !debugGenericIntegrate {
+		n.integrateFast(from, to)
 		return
 	}
-	n.integrateGeneric(c, i, from, to)
+	n.integrateGeneric(from, to)
 }
 
 // integrateFast is the fused integration kernel for the dominant node
 // shape (per-minute solar source, diurnal-EWMA forecaster, plain
 // battery). It performs exactly the generic path's arithmetic in the
-// same order — sleepW60 is the same 60.0·sleepW product, hoisted — in
-// two passes per chunk, because the forecaster and the battery share no
-// state: the whole minutes up to the end of the day or of the window
-// fold into the profile with one FoldFullSlots and go to the battery
-// with one Minutes call, and a partial minute is one Observe and one
-// Step. The battery owns the charge spans and run collapses that let
-// most of those minutes skip the degradation query and the SoC push.
-func (n *Node) integrateFast(c *soa, i int, from, to simtime.Time) {
-	b := c.batt[i]
+// same order, in two passes per chunk, because the forecaster and the
+// battery share no state: the whole minutes up to the end of the day or
+// of the window fold into the profile with one FoldFullSlots and go to
+// the battery with one Minutes call, and a partial minute is one
+// Observe and one Step. The battery owns the charge spans and the
+// falling-run collapse that let most of those minutes skip the
+// degradation query, and falling runs their SoC pushes.
+func (n *Node) integrateFast(from, to simtime.Time) {
+	b := n.batt
 	const minuteT = simtime.Time(simtime.Minute)
-	extra := c.extraDrawJ[i]
-	c.extraDrawJ[i] = 0
+	extra := n.extraDrawJ
+	n.extraDrawJ = 0
 	for cursor := from; cursor < to; extra = 0 {
 		minute := int64(cursor / minuteT)
 		day := minute / minutesPerDay
@@ -119,7 +66,7 @@ func (n *Node) integrateFast(c *soa, i int, from, to simtime.Time) {
 			end := min(int64(to/minuteT), (day+1)*minutesPerDay)
 			run := pow[slot : slot+int(end-minute)]
 			n.fcEWMA.FoldFullSlots(slot, run)
-			b.Minutes(next, run, c.sleepW60[i], extra)
+			b.Minutes(next, run, 60.0*n.sleepW, extra)
 			cursor = simtime.Time(end) * minuteT
 			continue
 		}
@@ -136,10 +83,10 @@ func (n *Node) integrateFast(c *soa, i int, from, to simtime.Time) {
 // forecaster shape, any store (including Hybrid), one battery call per
 // minute. Nodes outside the fast kernel's preconditions always run
 // here; the oracle test forces it for every node to pin the kernel.
-func (n *Node) integrateGeneric(c *soa, i int, from, to simtime.Time) {
+func (n *Node) integrateGeneric(from, to simtime.Time) {
 	const minuteT = simtime.Time(simtime.Minute)
-	extra := c.extraDrawJ[i]
-	c.extraDrawJ[i] = 0
+	extra := n.extraDrawJ
+	n.extraDrawJ = 0
 	cursor := from
 	minute := int64(cursor / minuteT)
 	if n.srcMin != nil {

@@ -45,12 +45,13 @@ func soaOracleScenario(seed uint64) config.Scenario {
 	return cfg
 }
 
-// TestSoACoreMatchesPointerCore pins the fused SoA integration kernel
+// TestSoACoreMatchesPointerCore pins the fused integration kernel
 // (integrateFast's two passes, with the battery's at-capacity and
-// full-accept spans and collapsed runs) bit-for-bit against the generic
-// reference path across randomized scenarios, with faults and obs
-// recording on. Every per-node float in the Result and the complete obs
-// export must match byte for byte.
+// full-accept spans and collapsed falling runs) bit-for-bit against the
+// generic reference path across randomized scenarios, with faults and
+// obs recording on. Every per-node float in the Result and the complete
+// obs export must match byte for byte. The name dates from the
+// struct-of-arrays node core the kernel once ran on.
 func TestSoACoreMatchesPointerCore(t *testing.T) {
 	seeds := 50
 	if testing.Short() {

@@ -49,10 +49,14 @@ type Node struct {
 	span     simtime.Duration // worst-case attempt duration, precomputed
 	obsTL    *obs.NodeTimeline
 
-	// core/idx locate the node's integration-hot state in the
-	// struct-of-arrays node core (core.go).
-	core *soa
-	idx  int
+	// lastIntegrated is the lazy energy-integration cursor.
+	lastIntegrated simtime.Time
+	// extraDrawJ is radio energy awaiting the next balance chunk (the
+	// Eq. 5 software-defined switch input).
+	extraDrawJ float64
+	// batt is Batt when it is a plain battery; nil (hybrid or test
+	// stub) routes the node through the generic integrate path.
+	batt *battery.Battery
 
 	pkt          *packet
 	pendingTrans []battery.Transition // SoC transitions awaiting report
@@ -177,6 +181,7 @@ func newNode(cfg config.Scenario, id int, trace *energy.YearTrace, rng *rand.Ran
 	// feeds whole-minute observations straight into the EWMA profile slot.
 	srcMin, _ := src.(energy.MinuteSource)
 	fcEWMA, _ := fc.(*energy.DiurnalEWMA)
+	plain, _ := store.(*battery.Battery)
 
 	return &Node{
 		ID:         id,
@@ -198,6 +203,7 @@ func newNode(cfg config.Scenario, id int, trace *energy.YearTrace, rng *rand.Ran
 		sleepW:     cfg.SleepPowerW,
 		span:       params.Airtime(64) + rxWindowsSpan + 3*simtime.Second,
 		obsTL:      tl,
+		batt:       plain,
 	}, nil
 }
 
@@ -206,10 +212,7 @@ func newNode(cfg config.Scenario, id int, trace *energy.YearTrace, rng *rand.Ran
 // is netted against that window's green generation; only the shortfall
 // discharges the battery, so a transmission fully covered by harvest
 // causes no SoC dip at all.
-func (n *Node) Draw(joules float64) {
-	c, i := n.ensureCore()
-	c.extraDrawJ[i] += joules
-}
+func (n *Node) Draw(joules float64) { n.extraDrawJ += joules }
 
 // ParamsForAttempt applies the LoRaWAN retransmission back-off: the data
 // rate drops (SF rises) every two attempts, up to SF12. Retransmissions

@@ -157,10 +157,6 @@ func New(cfg config.Scenario, hooks Hooks) (*Simulation, error) {
 		ewmaBank = energy.NewDiurnalEWMABank(0.3, cfg.Nodes)
 	}
 	minuteSlab := make([]float64, cfg.Nodes*minutesPerDay)
-	// One day-base cache serves every node sharing the weather trace, so
-	// per-day harvest-cache fills batch the year-adjusted base powers
-	// (bit-identical to per-node fills, see energy.DayBase).
-	dayBase := trace.NewDayBase()
 	for id := 0; id < cfg.Nodes; id++ {
 		var ew *energy.DiurnalEWMA
 		if ewmaBank != nil {
@@ -171,13 +167,9 @@ func New(cfg config.Scenario, hooks Hooks) (*Simulation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: node %d: %w", id, err)
 		}
-		if ds, ok := n.src.(interface{ SetDayBase(*energy.DayBase) }); ok {
-			ds.SetDayBase(dayBase)
-		}
 		s.nodes = append(s.nodes, n)
 		server.Register(id, cfg.InitialSoC)
 	}
-	attachCore(s.nodes)
 	return s, nil
 }
 
