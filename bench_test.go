@@ -28,7 +28,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/simtime"
-	"repro/internal/testbed"
 	"repro/internal/utility"
 )
 
@@ -163,12 +162,16 @@ func BenchmarkFig8Lifespan(b *testing.B) {
 	b.ReportMetric(improvement, "h50-improvement-%")
 }
 
-func BenchmarkFig9Testbed(b *testing.B) {
+func BenchmarkFig9(b *testing.B) {
 	o := experiment.Options{Seed: 3, Duration: 3 * simtime.Hour}
 	cfg := experiment.TestbedScenario(o, config.ProtocolBLA, 1)
 	var prr metrics.Welford
 	for i := 0; i < b.N; i++ {
-		res, err := testbed.Run(cfg)
+		s, err := sim.New(cfg, sim.Hooks{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := s.Run()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,7 +1,8 @@
-// Command testbed runs the concurrent virtual-time emulation of the
-// paper's physical experiment (Sec. IV-B): one goroutine per LoRa node,
-// a shared single channel, 24 emulated hours in a few hundred
-// milliseconds of wall time.
+// Command testbed runs the paper's physical experiment (Sec. IV-B) on
+// the discrete-event simulator: experiment.TestbedScenario's lab layout
+// (nodes within 50 m of the gateway, one channel, SF10, a ~400 mAh
+// battery, hourly w_u dissemination) for one protocol, printing each
+// node's outcome. It is the per-node view of `experiments -run fig9`.
 //
 // Example:
 //
@@ -16,8 +17,8 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/experiment"
+	"repro/internal/sim"
 	"repro/internal/simtime"
-	"repro/internal/testbed"
 )
 
 func main() {
@@ -31,8 +32,8 @@ func run() error {
 	var (
 		protocol = flag.String("protocol", "bla", "MAC protocol: lorawan, bla, theta-only")
 		theta    = flag.Float64("theta", 1, "battery charge cap (paper testbed: H-100)")
-		nodes    = flag.Int("nodes", 10, "number of node goroutines")
-		duration = flag.Duration("duration", 24*time.Hour, "emulated time")
+		nodes    = flag.Int("nodes", 10, "number of nodes")
+		duration = flag.Duration("duration", 24*time.Hour, "simulated time")
 		seed     = flag.Uint64("seed", 1, "scenario seed")
 	)
 	flag.Parse()
@@ -45,12 +46,16 @@ func run() error {
 	cfg := experiment.TestbedScenario(opts, config.ProtocolKind(*protocol), *theta)
 
 	started := time.Now()
-	res, err := testbed.Run(cfg)
+	s, err := sim.New(cfg, sim.Hooks{})
+	if err != nil {
+		return err
+	}
+	res, err := s.Run()
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("testbed %s: %d nodes, %v emulated in %v\n\n",
+	fmt.Printf("testbed %s: %d nodes, %v simulated in %v\n\n",
 		res.Label, len(res.Nodes), res.Elapsed, time.Since(started).Round(time.Millisecond))
 	fmt.Printf("%-5s %-5s %-9s %-9s %-9s %-11s %-11s %s\n",
 		"node", "SF", "packets", "PRR", "attempts", "latency(s)", "utility", "degradation")

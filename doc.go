@@ -14,8 +14,8 @@
 //   - internal/lora, internal/radio — the LoRa PHY and propagation;
 //   - internal/energy — the synthetic solar substrate and forecasters;
 //   - internal/mac, internal/netserver — the protocols and gateway side;
-//   - internal/sim — the discrete-event LoRaWAN simulator (NS-3 stand-in);
-//   - internal/testbed — a concurrent virtual-time testbed emulation;
+//   - internal/sim — the discrete-event LoRaWAN simulator (NS-3 stand-in),
+//     which also runs the paper's 10-node testbed setup (Fig. 9);
 //   - internal/optimal — the clairvoyant TDMA formulation (Sec. III-A);
 //   - internal/experiment — regeneration of every figure and table.
 //

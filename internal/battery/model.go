@@ -2,7 +2,7 @@
 // Xu et al. (IEEE Trans. Smart Grid 2016) in the parameterization used by
 // the paper (Eq. 1-4): calendar aging, rainflow-counted cycle aging, and
 // the SEI-film nonlinear capacity-fade transform. It also provides the
-// Battery state machine used by the simulator and testbed, and the
+// Battery state machine used by the simulator, and the
 // compressed state-of-charge trace encoding that nodes piggy-back on data
 // packets (Sec. III-B of the paper).
 //
@@ -101,7 +101,7 @@ func (m Model) CalendarAging(elapsed simtime.Duration, tempC, meanSoC float64) f
 }
 
 // StressCache memoizes the model's exponential stress factors for the
-// constant-temperature operation the simulator and testbed run (the
+// constant-temperature operation the simulator runs (the
 // paper considers insulated batteries at a fixed 25 C). Degradation is
 // queried on every battery charge/discharge — once per simulated minute
 // per node — and each query would otherwise re-evaluate the same

@@ -11,7 +11,7 @@
 //     (1 - utility) + w_u * DIF * w_b subject to energy feasibility
 //     (Eq. 17-21).
 //
-// Both the discrete-event simulator (internal/sim) and the concurrent
-// testbed runtime (internal/testbed) drive this same code, so protocol
-// behaviour cannot diverge between the two evaluation substrates.
+// Its inputs are plain values and the utility.Function interface, never
+// a simulation type: the discrete-event simulator (internal/sim) drives
+// it through internal/mac, and any other host would drive the same code.
 package core

@@ -278,9 +278,16 @@ func Lifespan(o Options) ([]*Table, error) {
 	return []*Table{fig7, fig8}, nil
 }
 
-// applyAging accelerates the degradation model by the given factor:
-// calendar and cycle stress scale together, so end-of-life arrives
-// factor-times sooner with an otherwise identical trajectory shape.
+// applyAging accelerates the degradation model by the given factor: the
+// calendar (K1) and cycle (K6) stress coefficients scale together, so
+// each simulated day accrues factor times the linearised degradation
+// and end-of-life arrives roughly factor-times sooner. Nothing else
+// scales. An accelerated run lives through factor-times fewer days of
+// the solar year, w_u recomputes and forecaster learning, and its
+// lifespan resolves in whole simulated days (factor-day steps once
+// de-scaled). The trajectory is therefore not the same shape, and a
+// large factor biases the protocol gain: at 100 nodes, H-50's lifespan
+// gain over LoRaWAN is +88.5% at x1 and +78.1% at the quick scale's x40.
 func applyAging(cfg *config.Scenario, factor float64) {
 	if factor <= 1 {
 		return

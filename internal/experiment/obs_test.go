@@ -26,6 +26,7 @@ func TestObsDisabledNoDrift(t *testing.T) {
 		{name: "sweep", run: ThetaSweep},
 		{name: "faults", run: wrap(FaultsSweep)},
 		{name: "fig2", run: wrap(Fig2)},
+		{name: "fig9", run: wrap(Fig9)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -56,7 +56,7 @@ func Registry() []Entry {
 		{
 			Name:       "fig9",
 			Artifacts:  "Fig. 9",
-			PaperScale: "10 concurrent testbed nodes, 24 hours, SF10, 1 channel",
+			PaperScale: "10 lab-layout nodes within 50 m, 24 hours, SF10, 1 channel",
 			Run:        wrap(Fig9),
 		},
 		{

@@ -111,10 +111,9 @@ func (c Config) Active() bool {
 // streams for control-plane coin flips and brownout timing, derived
 // from the scenario seed. A nil *Plan is valid and injects nothing.
 //
-// Stream discipline: every node has its own streams, so concurrent
-// substrates (the testbed's goroutine-per-node runtime) stay
-// deterministic per node no matter how goroutines interleave, and the
-// simulator's single-threaded event order makes whole runs
+// Stream discipline: every node has its own streams, so one node's
+// draws do not depend on how its traffic interleaves with other nodes',
+// and the simulator's single-threaded event order makes whole runs
 // byte-identical at a fixed seed.
 type Plan struct {
 	cfg   Config

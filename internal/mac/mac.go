@@ -3,8 +3,8 @@
 // lifespan-aware MAC (BLA, built on internal/core), and the H-50C
 // ablation (charge cap only, no window selection).
 //
-// A Protocol instance belongs to exactly one node and is driven by
-// whichever substrate hosts the node (internal/sim or internal/testbed).
+// A Protocol instance belongs to exactly one node and is driven by the
+// simulator node (internal/sim) that hosts it.
 package mac
 
 import (

@@ -36,9 +36,8 @@ const noneYet = simtime.Time(-1)
 
 // Server is the network-server state; Recompute is its one recompute
 // path. It is not safe for concurrent use: the simulator drives it
-// from its one event loop, the testbed gateway guards it with its
-// mutex, and the LNS daemon gives each shard a private Server owned by
-// one worker.
+// from its one event loop, and the LNS daemon gives each shard a
+// private Server owned by one worker.
 type Server struct {
 	model    battery.Model
 	tempC    float64
@@ -124,8 +123,8 @@ func New(model battery.Model, tempC float64, interval simtime.Duration) (*Server
 // That is correct exactly once — when the physical battery itself was
 // replaced. A node that merely restarted (brownout, firmware reboot)
 // must go through Rejoin, which keeps both the degradation history and
-// the watermarks; the simulator's brownout path and the testbed gateway
-// do so, and TestSimBrownoutRejoinsNeverReregisters pins it. An ID
+// the watermarks; the simulator's brownout path does so, and
+// TestSimBrownoutRejoinsNeverReregisters pins it. An ID
 // outside [0, MaxNodeID] panics: the dense index has no slot for it,
 // and silently dropping the node would leave it out of every w_u.
 func (s *Server) Register(nodeID int, initialSoC float64) {

@@ -60,7 +60,7 @@ func TestMaxDegradationDuplicateValues(t *testing.T) {
 }
 
 // TestRegisterResetsWatermarksReplayHazard documents the Register reset
-// semantics the daemon and the sim/testbed rejoin paths must respect: a
+// semantics the daemon and the simulator's rejoin path must respect: a
 // re-Register resets the ingestion watermarks, so a pre-reset
 // retransmission replays as fresh reports; Rejoin keeps the watermarks
 // and stays deduplicated.

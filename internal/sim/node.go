@@ -16,11 +16,10 @@ import (
 	"repro/internal/utility"
 )
 
-// Node is one simulated end device. The simulator's event handlers and
-// the testbed's node goroutines drive the same model through its
-// exported steps (Integrate, Reports, Draw, Settle, Reboot, ...), so
-// the two substrates share construction, energy integration, report
-// queue and back-off.
+// Node is one simulated end device. The simulator's event handlers
+// drive it through its steps (Integrate, Reports, Draw, Settle, Reboot,
+// ...): energy integration, report queue and back-off live here, the
+// event schedule in sim.go.
 type Node struct {
 	ID        int
 	Pos       radio.Position
@@ -65,21 +64,14 @@ type Node struct {
 	reportBuf    []battery.Report     // reused wire-encoding buffer
 }
 
-// NewNode builds a node placed and tuned by the caller: params carries
-// its base spreading factor and TX power, rxPowerDBm its static received
-// power at each gateway. It sizes battery and panel (Sec. II-C), wires
-// the harvest source, forecaster and protocol, and draws the sampling
-// period from rng, which the caller keeps using for the node's timing
-// jitter. tl may be nil.
-func NewNode(cfg config.Scenario, id int, trace *energy.YearTrace, rng *rand.Rand,
-	params lora.Params, rxPowerDBm []float64, tl *obs.NodeTimeline,
-) (*Node, error) {
-	return newNode(cfg, id, trace, rng, params, rxPowerDBm, tl, nil, nil)
-}
-
-// newNode is NewNode with this node's views into the simulation's
-// construction slabs: ewma (may be nil) and minuteBuf (may be nil) fall
-// back to solo allocations.
+// newNode builds a node that buildNode has placed and tuned: params
+// carries its base spreading factor and TX power, rxPowerDBm its static
+// received power at each gateway. It sizes battery and panel (Sec.
+// II-C), wires the harvest source, forecaster and protocol, and draws
+// the sampling period from rng, which the node keeps using for its
+// timing jitter. tl may be nil. ewma (nil for the Perfect and Noisy
+// forecasters, which do not use it) and minuteBuf are this node's views
+// into the simulation's construction slabs.
 func newNode(cfg config.Scenario, id int, trace *energy.YearTrace, rng *rand.Rand,
 	params lora.Params, rxPowerDBm []float64, tl *obs.NodeTimeline,
 	ewma *energy.DiurnalEWMA, minuteBuf []float64,
@@ -125,12 +117,10 @@ func newNode(cfg config.Scenario, id int, trace *energy.YearTrace, rng *rand.Ran
 	// that the paper's TX-based rule alone would starve them.
 	peakW := max(energy.PeakPowerFor(txE, cfg.ForecastWindow, cfg.PanelPeakMultiple), 10*cfg.SleepPowerW)
 	src := trace.NodeSource(id, peakW, cfg.SolarVariation)
-	if minuteBuf != nil {
-		// Attach before any priming so the source's lazy day cache lands
-		// in the slab rather than allocating its own backing store.
-		if ms, ok := src.(interface{ SetMinuteBuf([]float64) }); ok {
-			ms.SetMinuteBuf(minuteBuf)
-		}
+	// Attach before any priming so the source's lazy day cache lands in
+	// the slab rather than allocating its own backing store.
+	if ms, ok := src.(interface{ SetMinuteBuf([]float64) }); ok {
+		ms.SetMinuteBuf(minuteBuf)
 	}
 
 	var fc energy.Forecaster
@@ -140,9 +130,6 @@ func newNode(cfg config.Scenario, id int, trace *energy.YearTrace, rng *rand.Ran
 	case config.ForecastNoisy:
 		fc = energy.NewNoisy(src, cfg.ForecastNoise, cfg.Seed^uint64(id)*0x9e37)
 	default:
-		if ewma == nil {
-			ewma = energy.NewDiurnalEWMA(0.3)
-		}
 		ewma.Prime(src, cfg.ForecastPrimeDays)
 		fc = ewma
 	}
@@ -245,7 +232,7 @@ type packet struct {
 // minutesPerDay mirrors the energy package's day-cache granularity.
 const minutesPerDay = 24 * 60
 
-// Integrate lives in core.go alongside the struct-of-arrays node core.
+// Integrate lives in core.go.
 
 // Decide counts a packet generated at now and asks the protocol when to
 // send it. A dropped packet is settled on the spot; otherwise window is

@@ -215,7 +215,7 @@ func TestEncodeReportsCappedToChargedSlice(t *testing.T) {
 }
 
 // TestNodeRebootLosesVolatileStateAndPaysJoin pins the node half of a
-// brownout, shared by the simulator and the testbed: the report backlog
+// brownout: the report backlog
 // and the battery's unreported transitions are gone, and the rejoin
 // exchange is drawn from the next balance chunk.
 func TestNodeRebootLosesVolatileStateAndPaysJoin(t *testing.T) {

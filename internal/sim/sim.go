@@ -118,7 +118,7 @@ func New(cfg config.Scenario, hooks Hooks) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	phy, err := NewPHYTable(cfg)
+	phy, err := newPHYTable(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -173,13 +173,12 @@ func New(cfg config.Scenario, hooks Hooks) (*Simulation, error) {
 	return s, nil
 }
 
-// NewPHYTable builds the airtime/TX-energy lookup table for a scenario.
+// newPHYTable builds the airtime/TX-energy lookup table for a scenario.
 // All nodes share bandwidth, coding rate, preamble and TX power; only SF
 // and payload vary per attempt, so one table covers every airtime/energy
 // query of a run. attemptSpan's 64-byte worst case bounds the payload
-// range alongside data + piggy-backed reports. The table is immutable,
-// so concurrent node goroutines may share it.
-func NewPHYTable(cfg config.Scenario) (*lora.Table, error) {
+// range alongside data + piggy-backed reports.
+func newPHYTable(cfg config.Scenario) (*lora.Table, error) {
 	base := lora.DefaultParams()
 	base.TxPowerDBm = cfg.TxPowerDBm
 	return lora.NewTable(base, max(cfg.PayloadBytes+battery.ReportSize*maxReportsPerPacket,
