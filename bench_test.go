@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/battery"
@@ -282,6 +283,27 @@ func BenchmarkSimulatorDay(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// setupSeed numbers BenchmarkSimulatorSetup's scenarios across every
+// round of the benchmark, so no seed, and no solar trace, repeats.
+var setupSeed atomic.Uint64
+
+// BenchmarkSimulatorSetup times sim.New alone for the 1000-node
+// city-day scenario (perfbench's setup_s): placement, battery and MAC
+// construction, the synthesis of the trace days priming reads, and the
+// seven-day forecaster priming, on up to GOMAXPROCS workers. Every
+// iteration takes a fresh seed, so the shared trace cache never serves
+// one. Compare worker counts with -cpu 1,2.
+func BenchmarkSimulatorSetup(b *testing.B) {
+	cfg := config.Default()
+	cfg.Nodes = 1000
+	cfg.Duration = simtime.Day
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.New(cfg.WithSeed(1e6+setupSeed.Add(1)), sim.Hooks{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,8 +14,12 @@
 //
 // Scales:
 //
-//	quick: minutes of wall time; shapes hold, magnitudes are scaled.
-//	full:  the paper's workloads (hours of wall time for the sweep).
+//	quick: minutes of wall time; smaller networks, shorter horizons and
+//	       accelerated aging, so magnitudes are scaled. Not every shape
+//	       holds: quick fig9 starts 100 nodes within seconds on one SF10
+//	       channel for 90 days, a congestion-collapse regime in which all
+//	       four of the paper's Fig. 9 comparisons flip sign.
+//	paper: the paper's workloads (hours of wall time for the sweep).
 //
 // Within each experiment, independent simulation runs fan out across -j
 // workers (default: all CPUs); output tables are byte-identical at any

@@ -78,6 +78,9 @@ func TestEnergyPrefixMatchesMinuteOracle(t *testing.T) {
 // blocks included.
 func TestDayPowersMatchesMinuteOracle(t *testing.T) {
 	yt := newTestTrace(t, 21)
+	// The scan below reads samples directly, so synthesize the whole
+	// year first.
+	yt.need(minutesPerYear/minutesPerDay - 1)
 	// The clamp min(1, sample·f) bites only near noon of a bright day in
 	// a year whose factor is near its +8% top: take year 0's brightest
 	// day in the year with the largest factor.

@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/simtime"
 )
@@ -95,8 +96,13 @@ func (c SolarConfig) Validate() error {
 
 // YearTrace is the shared normalized (peak ≈ 1) solar-power profile of
 // the deployment area: one sample per minute for 365 days. Node sources
-// scale it to their panel size and add local cloud variation. A YearTrace
-// is immutable after construction and safe for concurrent use.
+// scale it to their panel size and add local cloud variation.
+//
+// The samples are synthesized on demand, one day at a time and in day
+// order (a run reads only the days it simulates, and the daily weather
+// chain makes day d depend on every day before it). The sample values
+// are fully determined by the config whichever day is read first. A
+// YearTrace is safe for concurrent use.
 type YearTrace struct {
 	cfg     SolarConfig
 	samples []float32
@@ -104,6 +110,17 @@ type YearTrace struct {
 	// first precomputedYears years; later years (beyond any plausible
 	// simulation horizon) fall back to hashing on demand.
 	yearFactor []float64
+
+	// done counts the leading days of samples already synthesized: day d
+	// may be read without locking once done > d.
+	done atomic.Int64
+	// mu guards the weather generator, which synthesizeDay advances one
+	// day at a time: its PCG stream, the day's weather state and the
+	// Ornstein-Uhlenbeck cloudiness carried across midnight.
+	mu    sync.Mutex
+	rng   *rand.Rand
+	state int
+	cloud float64
 }
 
 // precomputedYears bounds the memoized year-variability table; the
@@ -111,9 +128,9 @@ type YearTrace struct {
 const precomputedYears = 64
 
 // traceCache shares YearTrace construction across simulations: the
-// trace is immutable and fully determined by its config, so every
-// variant of a sweep (and every iteration of a benchmark) can reuse the
-// same object instead of re-synthesizing 525600 samples. Bounded to a
+// trace's samples are fully determined by its config, so every variant
+// of a sweep (and every iteration of a benchmark) can reuse the same
+// object, and the days one run synthesized serve the next. Bounded to a
 // handful of configs; eviction is oldest-first.
 var traceCache struct {
 	sync.Mutex
@@ -123,9 +140,9 @@ var traceCache struct {
 
 const traceCacheMax = 8
 
-// NewYearTrace synthesizes the deployment-wide trace. The construction is
-// deterministic in the config; identical configs may share one cached
-// immutable trace.
+// NewYearTrace returns the deployment-wide trace; its days are
+// synthesized when first read. The samples are deterministic in the
+// config; identical configs may share one cached trace.
 func NewYearTrace(cfg SolarConfig) (*YearTrace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -136,17 +153,14 @@ func NewYearTrace(cfg SolarConfig) (*YearTrace, error) {
 		return yt, nil
 	}
 	traceCache.Unlock()
-	yt, err := synthesizeYearTrace(cfg)
-	if err != nil {
-		return nil, err
-	}
+	yt := newYearTrace(cfg)
 	traceCache.Lock()
 	if traceCache.entries == nil {
 		traceCache.entries = make(map[SolarConfig]*YearTrace)
 	}
 	if cached, ok := traceCache.entries[cfg]; ok {
-		// Another goroutine synthesized the same config concurrently;
-		// both results are identical, keep the first.
+		// Another goroutine built the same config concurrently; both
+		// traces yield identical samples, keep the first.
 		yt = cached
 	} else {
 		if len(traceCache.order) >= traceCacheMax {
@@ -160,39 +174,65 @@ func NewYearTrace(cfg SolarConfig) (*YearTrace, error) {
 	return yt, nil
 }
 
-func synthesizeYearTrace(cfg SolarConfig) (*YearTrace, error) {
-	yt := &YearTrace{cfg: cfg, samples: make([]float32, minutesPerYear)}
+// newYearTrace sets up a trace with no day synthesized yet.
+func newYearTrace(cfg SolarConfig) *YearTrace {
+	yt := &YearTrace{
+		cfg:     cfg,
+		samples: make([]float32, minutesPerYear),
+		rng:     rand.New(rand.NewPCG(cfg.Seed, 0x501a7)),
+		state:   weatherClear,
+		cloud:   0.2, // Ornstein-Uhlenbeck cloudiness in [0,1]
+	}
 	yt.yearFactor = make([]float64, precomputedYears)
 	yt.yearFactor[0] = 1
 	for y := 1; y < precomputedYears; y++ {
 		yt.yearFactor[y] = 0.92 + 0.16*hash01(cfg.Seed, uint64(y), 0x9e77)
 	}
-	rng := rand.New(rand.NewPCG(cfg.Seed, 0x501a7))
+	return yt
+}
 
-	state := weatherClear
-	cloud := 0.2 // Ornstein-Uhlenbeck cloudiness in [0,1]
-	for day := 0; day < 365; day++ {
-		state = nextWeather(rng, state, cfg.WeatherPersistence)
-		mu, sigma := cloudParams(state)
-		daylight := 12 + cfg.DaylightAmplitudeHours*math.Sin(2*math.Pi*float64(day-80)/365)
-		sunrise := 12 - daylight/2
-		seasonal := 1 - cfg.SeasonalAmplitude + cfg.SeasonalAmplitude*(1+math.Sin(2*math.Pi*float64(day-80)/365))/2
-		for m := 0; m < 24*60; m++ {
-			// Cloudiness evolves every minute, day and night, so mornings
-			// start from the overnight weather.
-			cloud += 0.02*(mu-cloud) + sigma*rng.NormFloat64()
-			cloud = min(1, max(0, cloud))
-
-			hour := float64(m) / 60
-			var clearSky float64
-			if hour > sunrise && hour < sunrise+daylight {
-				clearSky = math.Pow(math.Sin(math.Pi*(hour-sunrise)/daylight), 1.3)
-			}
-			p := seasonal * clearSky * (1 - cfg.CloudAttenuation*cloud)
-			yt.samples[day*24*60+m] = float32(p)
-		}
+// need makes sure days [0, day] of the base year are synthesized before
+// a caller reads their samples: it synthesizes every missing day up to
+// and including day, in order. Each finished day is published by
+// storing done after its samples, so a reader that loads done > d sees
+// day d complete.
+func (yt *YearTrace) need(day int64) {
+	if day < yt.done.Load() {
+		return
 	}
-	return yt, nil
+	yt.mu.Lock()
+	defer yt.mu.Unlock()
+	for d := yt.done.Load(); d <= day; d++ {
+		yt.synthesizeDay(int(d))
+		yt.done.Store(d + 1)
+	}
+}
+
+// synthesizeDay draws day's weather and writes its 1440 samples,
+// continuing the generator state the previous day left.
+func (yt *YearTrace) synthesizeDay(day int) {
+	cfg := yt.cfg
+	yt.state = nextWeather(yt.rng, yt.state, cfg.WeatherPersistence)
+	mu, sigma := cloudParams(yt.state)
+	daylight := 12 + cfg.DaylightAmplitudeHours*math.Sin(2*math.Pi*float64(day-80)/365)
+	sunrise := 12 - daylight/2
+	seasonal := 1 - cfg.SeasonalAmplitude + cfg.SeasonalAmplitude*(1+math.Sin(2*math.Pi*float64(day-80)/365))/2
+	cloud := yt.cloud
+	for m := 0; m < 24*60; m++ {
+		// Cloudiness evolves every minute, day and night, so mornings
+		// start from the overnight weather.
+		cloud += 0.02*(mu-cloud) + sigma*yt.rng.NormFloat64()
+		cloud = min(1, max(0, cloud))
+
+		hour := float64(m) / 60
+		var clearSky float64
+		if hour > sunrise && hour < sunrise+daylight {
+			clearSky = math.Pow(math.Sin(math.Pi*(hour-sunrise)/daylight), 1.3)
+		}
+		p := seasonal * clearSky * (1 - cfg.CloudAttenuation*cloud)
+		yt.samples[day*24*60+m] = float32(p)
+	}
+	yt.cloud = cloud
 }
 
 func nextWeather(rng *rand.Rand, state int, persistence float64) int {
@@ -229,6 +269,7 @@ func (yt *YearTrace) At(minute int64) float64 {
 	}
 	year := minute / minutesPerYear
 	idx := minute % minutesPerYear
+	yt.need(idx / minutesPerDay)
 	base := float64(yt.samples[idx])
 	if year == 0 {
 		return base
@@ -314,6 +355,7 @@ func (s *nodeSource) ensureDay(day int64) {
 	}
 	start := day * minutesPerDay
 	year := start / minutesPerYear
+	s.trace.need(start % minutesPerYear / minutesPerDay)
 	samples := s.trace.samples[start%minutesPerYear : start%minutesPerYear+minutesPerDay]
 	f := s.trace.factorFor(year)
 	seed := s.trace.cfg.Seed

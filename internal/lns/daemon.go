@@ -2,7 +2,9 @@ package lns
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -448,9 +450,34 @@ func (d *Daemon) RestoreState(snap *netserver.Snapshot) error {
 // payloads stays far below it.
 const maxBodyBytes = 64 << 20
 
+// declaredTooLarge answers 400 for a body whose declared length alone
+// exceeds maxBodyBytes, before any byte is read.
+func declaredTooLarge(w http.ResponseWriter, r *http.Request) bool {
+	if r.ContentLength <= maxBodyBytes {
+		return false
+	}
+	http.Error(w, fmt.Sprintf("bad request body: %d bytes exceed the %d-byte limit", r.ContentLength, maxBodyBytes), http.StatusBadRequest)
+	return true
+}
+
+// decodeBody decodes a body holding exactly one JSON value. It reads on
+// to the end of the body, so one over maxBodyBytes is refused by the
+// read bound rather than decoded up to its first value.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if declaredTooLarge(w, r) {
+		return false
+	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		switch err = dec.Decode(new(json.RawMessage)); err {
+		case io.EOF:
+			err = nil
+		case nil:
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if err != nil {
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 		return false
 	}
@@ -514,10 +541,7 @@ func (d *Daemon) Handler() http.Handler {
 		d.writeJSON(w, http.StatusOK, map[string]int{"registered": len(req.Nodes)})
 	})
 	mux.HandleFunc("POST /v1/uplinks", func(w http.ResponseWriter, r *http.Request) {
-		// The bound is decodeBody's; a declared length over it is
-		// refused before any byte is read.
-		if r.ContentLength > maxBodyBytes {
-			http.Error(w, fmt.Sprintf("bad request body: %d bytes exceed the %d-byte limit", r.ContentLength, maxBodyBytes), http.StatusBadRequest)
+		if declaredTooLarge(w, r) {
 			return
 		}
 		b, err := decodeBatch(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)

@@ -844,3 +844,63 @@ func TestConfigDefaults(t *testing.T) {
 		t.Errorf("interval = %v, want 24h", c.Interval)
 	}
 }
+
+// TestRestoreRejectsBadSnapshots: POST /v1/restore refuses, with a 4xx,
+// a snapshot cut short, one naming a node ID above netserver.MaxNodeID
+// (which only the last shard's part carries, so a restore that swapped
+// shards one by one would be caught half done), and one padded past
+// maxBodyBytes; GET /v1/wu and GET /v1/snapshot answer the same bytes
+// before and after.
+func TestRestoreRejectsBadSnapshots(t *testing.T) {
+	cfg := Config{Shards: 2}
+	tr := spreadTrace(synthTrace(4, 3, 5), 300)
+	batches := BuildBatches(tr, 0, 8, 8)
+	d, err := NewDaemon(cfg)
+	if err != nil {
+		t.Fatalf("NewDaemon: %v", err)
+	}
+	defer d.Close()
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+	driveHTTP(t, ts, tr, batches, true, cfg.withDefaults().Interval)
+	wantWu, wantSnap := getBytes(t, ts, "/v1/wu"), getBytes(t, ts, "/v1/snapshot")
+
+	// Every bad body is cut from a valid snapshot of another fleet, so a
+	// restore that let any of it through would change the answers.
+	otherTr := spreadTrace(synthTrace(6, 2, 17), 300)
+	other, err := ReplayLocal(Config{}, otherTr, BuildBatches(otherTr, 0, 8, 8))
+	if err != nil {
+		t.Fatalf("ReplayLocal: %v", err)
+	}
+	valid := snapBytesLib(t, other)
+	last := bytes.LastIndex(valid, []byte(`"id":`))
+	end := last + len(`"id":`)
+	for end < len(valid) && valid[end] >= '0' && valid[end] <= '9' {
+		end++
+	}
+	// 2^40 + 256 lies in an odd ShardBlock, so shard 1's part carries it.
+	oversized := string(valid[:last]) + `"id":1099511628032` + string(valid[end:])
+	if last < 0 || oversized == string(valid) {
+		t.Fatal("the other fleet's snapshot has no node ID to oversize")
+	}
+	head := string(valid)
+	for name, body := range map[string]io.Reader{
+		"truncated":       bytes.NewReader(valid[:len(valid)/2]),
+		"node ID too big": strings.NewReader(oversized),
+		"over the limit":  io.MultiReader(strings.NewReader(head), io.LimitReader(spaces{}, maxBodyBytes+1-int64(len(head)))),
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/restore", body)
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, req)
+		if rec.Code < 400 || rec.Code > 499 {
+			t.Errorf("%s: status %d, want 4xx", name, rec.Code)
+		}
+	}
+
+	if got := getBytes(t, ts, "/v1/wu"); !bytes.Equal(got, wantWu) {
+		t.Errorf("GET /v1/wu changed after refused restores:\nafter  %s\nbefore %s", got, wantWu)
+	}
+	if got := getBytes(t, ts, "/v1/snapshot"); !bytes.Equal(got, wantSnap) {
+		t.Errorf("GET /v1/snapshot changed after refused restores:\nafter  %s\nbefore %s", got, wantSnap)
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
+	"sync"
 
 	"repro/internal/battery"
 	"repro/internal/config"
@@ -157,17 +159,37 @@ func New(cfg config.Scenario, hooks Hooks) (*Simulation, error) {
 		ewmaBank = energy.NewDiurnalEWMABank(0.3, cfg.Nodes)
 	}
 	minuteSlab := make([]float64, cfg.Nodes*minutesPerDay)
-	for id := 0; id < cfg.Nodes; id++ {
-		var ew *energy.DiurnalEWMA
-		if ewmaBank != nil {
-			ew = &ewmaBank[id]
-		}
-		lo, hi := id*minutesPerDay, (id+1)*minutesPerDay
-		n, err := s.buildNode(id, trace, ew, minuteSlab[lo:hi:hi])
+	// Nodes are built on up to GOMAXPROCS workers, each over a contiguous
+	// ID range. A node's construction reads only the scenario, the
+	// gateway layout and the shared trace (safe for concurrent use) and
+	// writes only its own RNG stream, slab views and timeline, so the
+	// node set is identical at any worker count. Errors and registration
+	// are then settled in ID order, as a serial build would.
+	s.nodes = make([]*Node, cfg.Nodes)
+	errs := make([]error, cfg.Nodes)
+	workers := min(runtime.GOMAXPROCS(0), cfg.Nodes)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func(first, end int) {
+			defer wg.Done()
+			for id := first; id < end; id++ {
+				var ew *energy.DiurnalEWMA
+				if ewmaBank != nil {
+					ew = &ewmaBank[id]
+				}
+				lo, hi := id*minutesPerDay, (id+1)*minutesPerDay
+				if s.nodes[id], errs[id] = s.buildNode(id, trace, ew, minuteSlab[lo:hi:hi]); errs[id] != nil {
+					return
+				}
+			}
+		}(w*cfg.Nodes/workers, (w+1)*cfg.Nodes/workers)
+	}
+	wg.Wait()
+	for id, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("sim: node %d: %w", id, err)
 		}
-		s.nodes = append(s.nodes, n)
 		server.Register(id, cfg.InitialSoC)
 	}
 	return s, nil
